@@ -17,7 +17,7 @@ from .fetch import FetchFailure, LiveFetcher, Page, SimFetcher
 from .simworld import (SimWorld, SimWorldParams, generate_sim_world, load_world,
                        save_world, training_corpus, world_digest)
 from .crawler import (CrawlConfig, CrawlResult, crawl, enforce_max_domain,
-                      metrics, run_baseline)
+                      metrics)
 from .urls import domain_of, normalize_url
 
 __all__ = [name for name in dir() if not name.startswith("_")]

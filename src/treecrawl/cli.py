@@ -21,7 +21,6 @@ from .crawler import CrawlConfig, crawl
 from .embeddings import (KeywordSet, expand_keywords, load_embeddings,
                          load_keywords, save_keywords, score_candidates, threshold_b)
 from .fetch import LiveFetcher, SimFetcher
-from .qlearn import AgentConfig
 from .report import report_series, write_run
 from .reward import (load_corpus_jsonl, load_model, macro_f1,
                      relevance_probability, save_model, train)
@@ -119,73 +118,69 @@ def cmd_genworld(args) -> int:
     return EXIT_OK
 
 
-def _config_from_args(args) -> dict:
+def _config_from_args(args):
+    """(input paths, CrawlConfig fields) from a manifest, or from the flags
+    overridden by the --config file."""
     if args.from_manifest:
         with open(args.from_manifest, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        return manifest["config"]
-    seeds = []
-    if args.seeds:
-        seeds = [s for s in args.seeds.split(",") if s]
-    if args.seeds_file:
-        with open(args.seeds_file, encoding="utf-8") as fh:
-            seeds.extend(line.strip() for line in fh
-                         if line.strip() and not line.startswith("#"))
-    config = {
-        "mode": args.mode,
-        "policy": args.policy,
-        "budget": args.budget,
-        "max_domain_visits": args.max_domain,
-        "hub_features": args.hub_features,
-        "warmup_steps": args.warmup,
-        "rng_seed": args.seed,
-        "seeds": seeds,
-        "world": args.world,
-        "model": args.model,
-        "keywords": args.keywords,
-    }
-    config_path = args.config or os.environ.get("TREECRAWL_CONFIG")
-    if config_path:
-        with open(config_path, encoding="utf-8") as fh:
-            overrides = json.load(fh)
-        config.update(overrides)
-    return config
+            config = json.load(fh)["config"]
+    else:
+        seeds = []
+        if args.seeds:
+            seeds = [s for s in args.seeds.split(",") if s]
+        if args.seeds_file:
+            with open(args.seeds_file, encoding="utf-8") as fh:
+                seeds.extend(line for line in map(str.strip, fh)
+                             if line and not line.startswith("#"))
+        config = {
+            "mode": args.mode,
+            "policy": args.policy,
+            "budget": args.budget,
+            "max_domain_visits": args.max_domain,
+            "hub_features": args.hub_features,
+            "warmup_steps": args.warmup,
+            "rng_seed": args.seed,
+            "seeds": seeds,
+            "world": args.world,
+            "model": args.model,
+            "keywords": args.keywords,
+        }
+        config_path = args.config or os.environ.get("TREECRAWL_CONFIG")
+        if config_path:
+            with open(config_path, encoding="utf-8") as fh:
+                config.update(json.load(fh))
+    inputs = {key: config.pop(key, None) for key in ("world", "model", "keywords")}
+    return inputs, config
 
 
 def cmd_crawl(args) -> int:
-    config = _config_from_args(args)
-    digest = hashlib.sha256(
-        json.dumps(config, sort_keys=True).encode()).hexdigest()[:12]
-    run_dir = os.path.join(args.out, digest)
-    os.makedirs(run_dir, exist_ok=True)
+    inputs, config = _config_from_args(args)
+    crawl_config = CrawlConfig.from_dict(config)
 
-    if config["mode"] == "sim":
-        if not config.get("world"):
+    if crawl_config.mode == "sim":
+        if not inputs["world"]:
             print("error: sim mode needs --world", file=sys.stderr)
             return EXIT_FAILED
-        world = load_world(config["world"])
+        world = load_world(inputs["world"])
         fetcher = SimFetcher(world)
-        seeds = config["seeds"] or world.seed_urls
-        keywords = (load_keywords(config["keywords"]) if config.get("keywords")
+        crawl_config.seeds = crawl_config.seeds or list(world.seed_urls)
+        keywords = (load_keywords(inputs["keywords"]) if inputs["keywords"]
                     else KeywordSet(frozenset(world.keywords)))
     else:
         fetcher = LiveFetcher()
-        seeds = config["seeds"]
-        if not config.get("keywords"):
+        if not inputs["keywords"]:
             print("error: live mode needs --keywords", file=sys.stderr)
             return EXIT_FAILED
-        keywords = load_keywords(config["keywords"])
-    if not config.get("model"):
+        keywords = load_keywords(inputs["keywords"])
+    if not inputs["model"]:
         print("error: a trained relevance model is required (--model)", file=sys.stderr)
         return EXIT_FAILED
-    model = load_model(config["model"])
+    model = load_model(inputs["model"])
 
-    crawl_config = CrawlConfig(
-        seeds=list(seeds), budget=int(config["budget"]), policy=config["policy"],
-        mode=config["mode"], max_domain_visits=config["max_domain_visits"],
-        hub_features=bool(config["hub_features"]),
-        warmup_steps=int(config["warmup_steps"]), rng_seed=int(config["rng_seed"]),
-        agent=AgentConfig())
+    config = {**inputs, **crawl_config.to_dict()}
+    digest = hashlib.sha256(
+        json.dumps(config, sort_keys=True).encode()).hexdigest()[:12]
+    run_dir = os.path.join(args.out, digest)  # write_run creates it
 
     started = time.time()
     result = crawl(crawl_config, fetcher, model, keywords)
@@ -194,7 +189,7 @@ def cmd_crawl(args) -> int:
     manifest = {
         "command": "crawl",
         "config": config,
-        "rng_seed": config["rng_seed"],
+        "rng_seed": crawl_config.rng_seed,
         "artifacts": paths,
         "wall_clock_seconds": time.time() - started,
         "versions": {"treecrawl": __version__, "python": platform.python_version(),
@@ -263,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds-file")
     p.add_argument("--keywords", help="keyword file (defaults to the world's topic keywords in sim mode)")
     p.add_argument("--model", help="trained relevance model JSON")
-    p.add_argument("--embeddings", help="unused by crawling itself; accepted for manifest completeness")
     p.add_argument("--budget", type=int, default=1000)
     p.add_argument("--max-domain", type=int, default=None)
     p.add_argument("--mode", choices=("sim", "live"), default="sim")

@@ -4,13 +4,13 @@ plus the uniform-random and tree-random baselines and run metrics."""
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, fields
 
 import numpy as np
 
 from .fetch import FetchFailure
 from .frontier_tree import (FlatFrontier, FrontierEntry, FrontierExhaustedError,
-                            TreeFrontier)
+                            TreeFrontier, UpdateInfo)
 from .graph import (CrawlGraph, OutlinkCandidate, build_state_action,
                     seed_state_action)
 from .qlearn import (AgentConfig, QNetwork, ReplayBuffer, ReplayRecord,
@@ -36,7 +36,6 @@ class CrawlConfig:
     warmup_steps: int = 50
     rng_seed: int = 0
     max_text_len: int = 500
-    remove_unselected: bool = False
     agent: AgentConfig = field(default_factory=AgentConfig)
 
     def validate(self):
@@ -52,17 +51,19 @@ class CrawlConfig:
             raise ConfigError("max_domain_visits must be >= 1 or unlimited (None)")
 
     def to_dict(self):
-        record = asdict(self)
-        record["agent"] = asdict(self.agent)
-        return record
+        """Plain-data form, with the agent settings nested under "agent"."""
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, record):
+        """Inverse of to_dict; raises ConfigError naming every unknown key."""
         record = dict(record)
         agent = record.pop("agent", {})
-        cfg = cls(**record)
-        cfg.agent = AgentConfig(**agent) if isinstance(agent, dict) else agent
-        return cfg
+        unknown = sorted(set(record) - {f.name for f in fields(cls)}) + sorted(
+            "agent." + k for k in set(agent) - {f.name for f in fields(AgentConfig)})
+        if unknown:
+            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+        return cls(**record, agent=AgentConfig(**agent))
 
 
 @dataclass
@@ -159,8 +160,7 @@ def crawl(config: CrawlConfig, fetcher, model, keywords) -> CrawlResult:
 
     graph = CrawlGraph()
     flat = FlatFrontier() if config.policy == "random" else None
-    tree = None if config.policy == "random" else TreeFrontier(
-        remove_unselected=config.remove_unselected)
+    tree = None if config.policy == "random" else TreeFrontier()
 
     def url_fetched(url):
         return url in graph
@@ -221,27 +221,19 @@ def crawl(config: CrawlConfig, fetcher, model, keywords) -> CrawlResult:
             if config.policy == "random":
                 flat.insert(pending_entries)
                 entry = flat.select(rng_select, url_fetched, saturated)
-                frontier_size = flat.frontier_size + 1
-                leaf_count = 1
-                q_evals = 0
-                split = False
-                q_value = None
+                info = UpdateInfo(split_occurred=False, n_representatives=1,
+                                  q_evaluations=0, q_value=None, leaf_id=0, leaf_count=1,
+                                  frontier_size=flat.frontier_size + 1)
             elif config.policy == "synchronous_tres":
                 entry, info = tree.update_synchronous(
                     pending_experience, pending_entries, online,
                     url_fetched, saturated)
-                frontier_size, leaf_count = info.frontier_size, tree.leaf_count
-                q_evals, split, q_value = info.q_evaluations, info.split_occurred, info.q_value
             else:
-                mode = "explore"
-                if config.policy == "tres" and t >= config.warmup_steps \
-                        and rng_select.random() >= epsilon:
-                    mode = "greedy"
+                greedy = (config.policy == "tres" and t >= config.warmup_steps
+                          and rng_select.random() >= epsilon)
                 entry, info = tree.update(pending_experience, pending_entries,
-                                          mode, online, rng_select,
-                                          url_fetched, saturated)
-                frontier_size, leaf_count = info.frontier_size, tree.leaf_count
-                q_evals, split, q_value = info.q_evaluations, info.split_occurred, info.q_value
+                                          "greedy" if greedy else "explore", online,
+                                          rng_select, url_fetched, saturated)
         except FrontierExhaustedError:
             status = "exhausted"
             break
@@ -282,11 +274,11 @@ def crawl(config: CrawlConfig, fetcher, model, keywords) -> CrawlResult:
             "reward": r,
             "domain": domain_of(url),
             "features": [float(v) for v in entry.x],
-            "q_value_estimate": q_value,
+            "q_value_estimate": info.q_value,
         })
-        steps.append(StepStats(timestep=t, frontier_size=frontier_size,
-                               leaf_count=leaf_count, q_evals=q_evals,
-                               split_occurred=int(bool(split))))
+        steps.append(StepStats(timestep=t, frontier_size=info.frontier_size,
+                               leaf_count=info.leaf_count, q_evals=info.q_evaluations,
+                               split_occurred=int(info.split_occurred)))
         pending_experience = (entry.x, float(r))
         pending_entries = new_entries
 
@@ -296,9 +288,3 @@ def crawl(config: CrawlConfig, fetcher, model, keywords) -> CrawlResult:
     result.harvest_rate, result.relevant_domains, result.unique_domains = metrics(result)
     return result
 
-
-def run_baseline(config: CrawlConfig, fetcher, model, keywords) -> CrawlResult:
-    """Same loop with value-free selection (policy random or tree_random)."""
-    if config.policy not in ("random", "tree_random"):
-        raise ConfigError(f"{config.policy!r} is not a baseline policy")
-    return crawl(config, fetcher, model, keywords)

@@ -11,7 +11,6 @@ the whole frontier.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,20 +95,26 @@ class _Node:
 
 @dataclass
 class UpdateInfo:
+    """What one selection step did; the crawl loop's record of the step.
+
+    frontier_size counts the entries stored at selection time, the chosen one
+    included. Entries are purged only when a draw meets them, so the count
+    can include URLs that were already fetched, and a URL reached by several
+    links counts once per link.
+    """
     split_occurred: bool
     n_representatives: int
     q_evaluations: int
     q_value: float | None
     leaf_id: int
-    frontier_size: int  # live entries at selection time, before the removal
+    leaf_count: int
+    frontier_size: int
 
 
 class TreeFrontier:
     """Single-writer tree; selection state advances only through its methods."""
 
-    def __init__(self, min_split_samples=2, remove_unselected=False):
-        self.min_split_samples = max(2, int(min_split_samples))
-        self.remove_unselected = remove_unselected
+    def __init__(self):
         self._next_id = 0
         self.root = self._new_leaf()
         self._leaves = {self.root.leaf_id: self.root}
@@ -151,8 +156,6 @@ class TreeFrontier:
         leaf.exp_x.append(x)
         leaf.exp_r.append(float(reward))
         self.n_experience += 1
-        if len(leaf.exp_r) < self.min_split_samples:
-            return False
         found = best_split(np.stack(leaf.exp_x), np.array(leaf.exp_r))
         if found is None:
             return False
@@ -240,8 +243,7 @@ class TreeFrontier:
         FrontierEntry. In explore mode the choice is uniform over the leaf
         representatives; in greedy mode it is the argmax of the value network
         over them, ties resolved toward the lowest leaf id. The selected entry
-        leaves the tree; the other representatives are retained unless the
-        tree was configured for literal removal.
+        leaves the tree; the other representatives stay in their leaves.
         """
         split_occurred = False
         if e_new is not None:
@@ -261,7 +263,6 @@ class TreeFrontier:
             if qnet is None:
                 raise ValueError("greedy mode needs a value network")
             qs = qnet.forward(np.stack([entry.x for _, _, entry in reps]))
-            qs = np.atleast_1d(qs)
             evals = len(reps)
             self.q_evaluations += evals
             pick = int(np.argmax(qs))  # first maximum == lowest leaf id
@@ -270,16 +271,10 @@ class TreeFrontier:
             raise ValueError(f"unknown mode {mode!r}")
 
         leaf, idx, entry = reps[pick]
-        if self.remove_unselected:
-            # Literal reading: every representative leaves its leaf.
-            for other_leaf, other_idx, other in sorted(
-                    reps, key=lambda t: t[1], reverse=True):
-                self._remove_entry(other_leaf, other_idx, other)
-        else:
-            self._remove_entry(leaf, idx, entry)
+        self._remove_entry(leaf, idx, entry)
         info = UpdateInfo(split_occurred=split_occurred, n_representatives=len(reps),
                           q_evaluations=evals, q_value=q_value, leaf_id=leaf.leaf_id,
-                          frontier_size=frontier_at_selection)
+                          leaf_count=self.leaf_count, frontier_size=frontier_at_selection)
         return entry, info
 
     def update_synchronous(self, e_new, f_new, qnet, url_fetched=None,
@@ -308,25 +303,22 @@ class TreeFrontier:
         if not xs:
             raise FrontierExhaustedError("no selectable frontier entries remain")
 
-        qs = np.atleast_1d(qnet.forward(np.stack(xs)))
+        qs = qnet.forward(np.stack(xs))
         self.q_evaluations += len(xs)
         frontier_at_selection = self.n_frontier
 
-        best = -1
-        best_q = -np.inf
-        for j, (_, _, entry) in enumerate(refs):
-            if domain_saturated is not None and domain_saturated(entry.url):
-                continue
-            if qs[j] > best_q:  # strict: ties go to the lowest leaf id
-                best_q = qs[j]
-                best = j
-        if best < 0:
+        if domain_saturated is not None:
+            qs = np.where([domain_saturated(entry.url) for _, _, entry in refs],
+                          -np.inf, qs)
+        best = int(np.argmax(qs))  # first maximum == lowest leaf id
+        if qs[best] == -np.inf:
             raise FrontierExhaustedError("every remaining entry is domain-saturated")
         leaf, idx, entry = refs[best]
         self._remove_entry(leaf, idx, entry)
         info = UpdateInfo(split_occurred=split_occurred, n_representatives=len(xs),
-                          q_evaluations=len(xs), q_value=float(best_q),
-                          leaf_id=leaf.leaf_id, frontier_size=frontier_at_selection)
+                          q_evaluations=len(xs), q_value=float(qs[best]),
+                          leaf_id=leaf.leaf_id, leaf_count=self.leaf_count,
+                          frontier_size=frontier_at_selection)
         return entry, info
 
     def snapshot(self) -> dict:
@@ -340,11 +332,6 @@ class TreeFrontier:
                     "left": visit(node.left), "right": visit(node.right)}
         return {"leaf_count": self.leaf_count, "frontier_size": self.frontier_size,
                 "q_evaluations": self.q_evaluations, "tree": visit(self.root)}
-
-    def save_snapshot(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.snapshot(), fh, indent=2)
-            fh.write("\n")
 
 
 class FlatFrontier:

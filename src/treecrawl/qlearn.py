@@ -36,6 +36,7 @@ class AgentConfig:
     next_action_cap: int = 256
 
     def __post_init__(self):
+        self.hidden = tuple(self.hidden)  # a list after a JSON round trip
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma must lie in [0, 1]")
         for name in ("learning_rate", "batch_size", "target_sync_every",
@@ -237,8 +238,6 @@ def batch_targets(records, online: QNetwork, target: QNetwork, gamma: float) -> 
         offset += size
     rows = stacked[[c[1] for c in chosen]]
     target_q = target.forward(rows)
-    if np.isscalar(target_q) or target_q.ndim == 0:
-        target_q = np.atleast_1d(target_q)
     for (i, _), tq in zip(chosen, target_q):
         ys[i] += gamma * float(tq)
     return ys

@@ -8,6 +8,7 @@ import pytest
 from treecrawl.cli import main
 from treecrawl.report import (FRONTIER_COLUMNS, HARVEST_COLUMNS, LEAVES_COLUMNS,
                               RATIO_COLUMNS, STEP_COLUMNS)
+from treecrawl.simworld import load_world
 
 
 def run_cli(*argv):
@@ -39,11 +40,17 @@ def pipeline(tmp_path_factory):
 class TestCrawlCommand:
     def test_crawl_writes_run_artifacts(self, pipeline, tmp_path):
         out = str(tmp_path / "runs")
+        seeds = load_world(pipeline["world"]).seed_urls
+        seeds_file = tmp_path / "seeds.txt"
+        seeds_file.write_text("# seeds\n  # indented note\n" + "\n".join(seeds) + "\n")
         rc = run_cli("crawl", "--mode", "sim", "--world", pipeline["world"],
                      "--model", pipeline["model"], "--budget", "40",
+                     "--seeds-file", str(seeds_file),
                      "--policy", "tres", "--seed", "3", "--out", out)
         assert rc == 0
         (run_dir,) = [os.path.join(out, d) for d in os.listdir(out)]
+        manifest = json.load(open(os.path.join(run_dir, "manifest.json")))
+        assert manifest["config"]["seeds"] == seeds
         for name in ("result.jsonl", "steps.csv", "loss.csv", "summary.json",
                      "manifest.json"):
             assert os.path.exists(os.path.join(run_dir, name))
@@ -100,9 +107,47 @@ class TestCrawlCommand:
         assert summary["fetched"] == 3  # env config overrode the flag
 
     def test_sim_mode_requires_world(self, pipeline, tmp_path):
+        out = tmp_path / "x"
         rc = run_cli("crawl", "--mode", "sim", "--model", pipeline["model"],
-                     "--budget", "5", "--out", str(tmp_path / "x"))
+                     "--budget", "5", "--out", str(out))
         assert rc == 1
+        assert not out.exists()  # no empty run directory is left behind
+
+    @pytest.mark.parametrize("override", [{"budgett": 5},
+                                          {"agent": {"learning_rat": 0.05}}])
+    def test_unknown_config_key_rejected(self, pipeline, tmp_path, override):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(override))
+        out = tmp_path / "runs"
+        rc = run_cli("crawl", "--mode", "sim", "--world", pipeline["world"],
+                     "--model", pipeline["model"], "--budget", "5",
+                     "--config", str(cfg_path), "--out", str(out))
+        assert rc == 1
+        assert not out.exists()
+
+    def test_agent_config_reaches_crawl_and_replays(self, pipeline, tmp_path):
+        common = ("crawl", "--mode", "sim", "--world", pipeline["world"],
+                  "--model", pipeline["model"], "--budget", "30",
+                  "--policy", "tres", "--seed", "9")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"agent": {"learning_rate": 0.05}}))
+        runs = {}
+        for name, extra in (("default", ()), ("tuned", ("--config", str(cfg_path)))):
+            out = str(tmp_path / name)
+            assert run_cli(*common, *extra, "--out", out) == 0
+            (runs[name],) = [os.path.join(out, d) for d in os.listdir(out)]
+        loss = lambda run: sha(os.path.join(run, "loss.csv"))
+        assert loss(runs["tuned"]) != loss(runs["default"])
+        manifest_path = os.path.join(runs["tuned"], "manifest.json")
+        manifest = json.load(open(manifest_path))
+        assert manifest["config"]["agent"]["learning_rate"] == 0.05
+
+        replay = str(tmp_path / "replay")
+        assert run_cli("crawl", "--from-manifest", manifest_path, "--out", replay) == 0
+        (replay_dir,) = [os.path.join(replay, d) for d in os.listdir(replay)]
+        assert os.path.basename(replay_dir) == os.path.basename(runs["tuned"])
+        for name in ("result.jsonl", "steps.csv", "loss.csv"):
+            assert sha(os.path.join(replay_dir, name)) == sha(os.path.join(runs["tuned"], name))
 
     def test_exhausted_exit_code(self, pipeline, tmp_path):
         # a 600-page world cannot satisfy a 10000-fetch budget

@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from treecrawl.crawler import (ConfigError, CrawlConfig, CrawlResult, crawl,
-                               enforce_max_domain, metrics, run_baseline)
+                               enforce_max_domain, metrics)
 from treecrawl.fetch import SimFetcher
 from treecrawl.graph import CrawlGraph
 from treecrawl.qlearn import AgentConfig
@@ -89,16 +91,17 @@ class TestCrawlBasics:
         with pytest.raises(ConfigError):
             CrawlConfig(seeds=["http://a.com"], budget=1, max_domain_visits=0).validate()
 
-    def test_run_baseline_guards_policy(self, oracle_model, kws, chain_world):
-        cfg = CrawlConfig(seeds=chain_world.seed_urls, budget=2, policy="tres")
-        with pytest.raises(ConfigError):
-            run_baseline(cfg, SimFetcher(chain_world), oracle_model, kws)
-
     def test_config_round_trips_through_dict(self):
         cfg = CrawlConfig(seeds=["http://a.com"], budget=7, policy="random",
                           max_domain_visits=3, agent=AgentConfig(gamma=0.5))
         clone = CrawlConfig.from_dict(cfg.to_dict())
         assert clone == cfg
+        # JSON turns the hidden-layer tuple into a list
+        assert CrawlConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+        for key, record in (("budgett", {"budgett": 8}),
+                            ("agent.learning_rat", {"agent": {"learning_rat": 0.1}})):
+            with pytest.raises(ConfigError, match=key):
+                CrawlConfig.from_dict({**cfg.to_dict(), **record})
 
 
 class TestMaxDomain:

@@ -345,15 +345,6 @@ class TestUpdate:
             tree.update(None, [], "explore", None, np.random.default_rng(5),
                         domain_saturated=lambda u: True)
 
-    def test_remove_unselected_option(self):
-        tree = TreeFrontier(remove_unselected=True)
-        for x, r in zip(FIXTURE_X, FIXTURE_Y):
-            tree.insert_experience(x, r)
-        tree.insert_frontier([entry([0.1], url="http://x.com/a"),
-                              entry([0.8], url="http://x.com/b")])
-        tree.update(None, [], "explore", None, np.random.default_rng(6))
-        assert tree.frontier_size == 0  # both representatives removed
-
     def test_update_counts_at_most_one_split(self):
         rng = np.random.default_rng(7)
         tree = TreeFrontier()
@@ -463,7 +454,7 @@ class TestFlatFrontier:
 
 
 class TestSnapshot:
-    def test_snapshot_structure(self, tmp_path):
+    def test_snapshot_structure(self):
         tree = TreeFrontier()
         for x, r in zip(FIXTURE_X, FIXTURE_Y):
             tree.insert_experience(x, r)
@@ -474,6 +465,3 @@ class TestSnapshot:
         assert snap["tree"]["feature"] == 0
         assert snap["tree"]["threshold"] == 0.5
         assert snap["tree"]["left"]["experience"] == 2
-        path = tmp_path / "tree.json"
-        tree.save_snapshot(path)
-        assert path.exists()
