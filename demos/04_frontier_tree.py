@@ -28,7 +28,7 @@ for t in range(400):
     x = rng.uniform(size=8)
     reward = float(rng.random() < 0.8 * x[5] + 0.2 * x[6])
     entries = [FrontierEntry(x=rng.uniform(size=8), url=f"http://d{t}.sim/p{t}-{j}",
-                             parent=None, anchor="", inserted_at=t)
+                             parent=None)
                for j in range(5)]
     frontier_added += len(entries)
     selected, info = tree.update((x, reward), entries, "greedy", qnet, rng)

@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .crawler import CrawlConfig, crawl
+from .crawler import ConfigError, CrawlConfig, crawl
 from .embeddings import (KeywordSet, expand_keywords, load_embeddings,
                          load_keywords, save_keywords, score_candidates, threshold_b)
 from .fetch import LiveFetcher, SimFetcher
@@ -122,6 +122,15 @@ def _config_from_args(args):
     """(input paths, CrawlConfig fields) from a manifest, or from the flags
     overridden by the --config file."""
     if args.from_manifest:
+        # Every other flag would be ignored, so any that differs from its
+        # default is an error; hub_features can only differ by its --no- form.
+        defaults = vars(build_parser().parse_args(["crawl"]))
+        given = [{"hub_features": "--no-hub-features"}.get(key, "--" + key.replace("_", "-"))
+                 for key, value in vars(args).items()
+                 if key not in ("out", "from_manifest") and value != defaults[key]]
+        if given:
+            raise ConfigError("--from-manifest replays the manifest's config and takes "
+                              f"no other crawl flag but --out; got {', '.join(given)}")
         with open(args.from_manifest, encoding="utf-8") as fh:
             config = json.load(fh)["config"]
     else:

@@ -10,9 +10,9 @@ import numpy as np
 
 from .fetch import FetchFailure
 from .frontier_tree import (FlatFrontier, FrontierEntry, FrontierExhaustedError,
-                            TreeFrontier, UpdateInfo)
-from .graph import (CrawlGraph, OutlinkCandidate, build_state_action,
-                    seed_state_action)
+                            TreeFrontier)
+from .graph import (STATE_ACTION_DIM, STATE_ACTION_DIM_NO_HUB, CrawlGraph,
+                    OutlinkCandidate, build_state_action, seed_state_action)
 from .qlearn import (AgentConfig, QNetwork, ReplayBuffer, ReplayRecord,
                      seed_replay, sync_target, train_step)
 from .reward import PageText, reward as reward_of
@@ -39,16 +39,25 @@ class CrawlConfig:
     agent: AgentConfig = field(default_factory=AgentConfig)
 
     def validate(self):
+        # type(...) is int also refuses bools, which Python counts as ints.
+        if not (isinstance(self.seeds, list) and all(isinstance(s, str) for s in self.seeds)):
+            raise ConfigError("seeds must be a list of URL strings")
         if not self.seeds:
             raise ConfigError("at least one seed URL is required")
+        for name in ("budget", "warmup_steps", "rng_seed", "max_text_len"):
+            if type(getattr(self, name)) is not int:
+                raise ConfigError(f"{name} must be an integer")
+        if not isinstance(self.hub_features, bool):
+            raise ConfigError("hub_features must be true or false")
         if self.budget < 1:
             raise ConfigError("budget must be at least 1")
         if self.policy not in POLICIES:
             raise ConfigError(f"unknown policy {self.policy!r}; choose from {POLICIES}")
         if self.mode not in ("sim", "live"):
             raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.max_domain_visits is not None and self.max_domain_visits < 1:
-            raise ConfigError("max_domain_visits must be >= 1 or unlimited (None)")
+        cap = self.max_domain_visits
+        if cap is not None and (type(cap) is not int or cap < 1):
+            raise ConfigError("max_domain_visits must be an integer >= 1 or unlimited (None)")
 
     def to_dict(self):
         """Plain-data form, with the agent settings nested under "agent"."""
@@ -117,7 +126,7 @@ def metrics(result: CrawlResult):
     return hr, relevant, unique
 
 
-def _outlink_entries(graph, source_url, page, model, keywords, hub, timestep):
+def _outlink_entries(graph, source_url, page, model, keywords, hub):
     entries = []
     for target, anchor in page.outlinks:
         if target in graph:
@@ -125,8 +134,7 @@ def _outlink_entries(graph, source_url, page, model, keywords, hub, timestep):
         candidate = OutlinkCandidate(url=target, anchor=anchor)
         x = build_state_action(graph, source_url, candidate, model, keywords,
                                hub_features=hub)
-        entries.append(FrontierEntry(x=x, url=target, parent=source_url,
-                                     anchor=anchor, inserted_at=timestep))
+        entries.append(FrontierEntry(x=x, url=target, parent=source_url))
     return entries
 
 
@@ -147,7 +155,7 @@ def crawl(config: CrawlConfig, fetcher, model, keywords) -> CrawlResult:
     rng_train = np.random.default_rng([config.rng_seed, 1])
     rng_init = np.random.default_rng([config.rng_seed, 2])
     hub = config.hub_features
-    dim = 8 if hub else 6
+    dim = STATE_ACTION_DIM if hub else STATE_ACTION_DIM_NO_HUB
     uses_q = config.policy in ("tres", "synchronous_tres")
 
     online = target = None
@@ -159,8 +167,10 @@ def crawl(config: CrawlConfig, fetcher, model, keywords) -> CrawlResult:
         replay = ReplayBuffer(agent.replay_capacity)
 
     graph = CrawlGraph()
-    flat = FlatFrontier() if config.policy == "random" else None
-    tree = None if config.policy == "random" else TreeFrontier()
+    # The random baseline is the tree that is never given an experience: it
+    # keeps one leaf, so every draw is uniform over the whole frontier.
+    learns = config.policy != "random"
+    frontier = TreeFrontier() if learns else FlatFrontier()
 
     def url_fetched(url):
         return url in graph
@@ -171,9 +181,9 @@ def crawl(config: CrawlConfig, fetcher, model, keywords) -> CrawlResult:
             return not enforce_max_domain(graph, url, config.max_domain_visits)
 
     # Seed bootstrap: seeds are treated as relevant and their outlinks form
-    # the initial frontier.
+    # the initial frontier, which enters the tree at step 0.
     seed_vectors = []
-    initial_entries = []
+    pending_entries = []
     for raw in config.seeds:
         url = normalize_url(raw)
         if url in graph:
@@ -188,17 +198,14 @@ def crawl(config: CrawlConfig, fetcher, model, keywords) -> CrawlResult:
                                      title=page.title if page else "")
         seed_vectors.append(seed_state_action(candidate, model, keywords, hub_features=hub))
         if page is not None:
-            initial_entries.extend(
-                _outlink_entries(graph, url, page, model, keywords, hub, timestep=0))
+            pending_entries.extend(
+                _outlink_entries(graph, url, page, model, keywords, hub))
 
     if uses_q:
         seed_replay(replay, seed_vectors)
-    if tree is not None:
+    if learns:
         for x in seed_vectors:
-            tree.insert_experience(x, 1.0)
-        tree.insert_frontier(initial_entries)
-    else:
-        flat.insert(initial_entries)
+            frontier.insert_experience(x, 1.0)
 
     fetched = []
     log_records = []
@@ -206,11 +213,10 @@ def crawl(config: CrawlConfig, fetcher, model, keywords) -> CrawlResult:
     steps = []
     status = "completed"
     pending_experience = None
-    pending_entries = []
 
     for t in range(config.budget):
         epsilon = agent.epsilon(t, config.budget)
-        if uses_q and len(replay) > 0:
+        if uses_q:
             batch = replay.sample(rng_train, agent.batch_size)
             loss = train_step(online, target, batch, agent)
             losses.append((t, loss, epsilon))
@@ -218,22 +224,16 @@ def crawl(config: CrawlConfig, fetcher, model, keywords) -> CrawlResult:
                 sync_target(online, target)
 
         try:
-            if config.policy == "random":
-                flat.insert(pending_entries)
-                entry = flat.select(rng_select, url_fetched, saturated)
-                info = UpdateInfo(split_occurred=False, n_representatives=1,
-                                  q_evaluations=0, q_value=None, leaf_id=0, leaf_count=1,
-                                  frontier_size=flat.frontier_size + 1)
-            elif config.policy == "synchronous_tres":
-                entry, info = tree.update_synchronous(
+            if config.policy == "synchronous_tres":
+                entry, info = frontier.update_synchronous(
                     pending_experience, pending_entries, online,
                     url_fetched, saturated)
             else:
                 greedy = (config.policy == "tres" and t >= config.warmup_steps
                           and rng_select.random() >= epsilon)
-                entry, info = tree.update(pending_experience, pending_entries,
-                                          "greedy" if greedy else "explore", online,
-                                          rng_select, url_fetched, saturated)
+                entry, info = frontier.update(pending_experience, pending_entries,
+                                              "greedy" if greedy else "explore", online,
+                                              rng_select, url_fetched, saturated)
         except FrontierExhaustedError:
             status = "exhausted"
             break
@@ -253,7 +253,7 @@ def crawl(config: CrawlConfig, fetcher, model, keywords) -> CrawlResult:
 
         new_entries = []
         if page is not None:
-            new_entries = _outlink_entries(graph, url, page, model, keywords, hub, t)
+            new_entries = _outlink_entries(graph, url, page, model, keywords, hub)
 
         if uses_q:
             if new_entries:
@@ -279,12 +279,13 @@ def crawl(config: CrawlConfig, fetcher, model, keywords) -> CrawlResult:
         steps.append(StepStats(timestep=t, frontier_size=info.frontier_size,
                                leaf_count=info.leaf_count, q_evals=info.q_evaluations,
                                split_occurred=int(info.split_occurred)))
-        pending_experience = (entry.x, float(r))
+        if learns:
+            pending_experience = (entry.x, float(r))
         pending_entries = new_entries
 
     result = CrawlResult(fetched=fetched, status=status, steps=steps,
                          log_records=log_records, losses=losses,
-                         tree_snapshot=tree.snapshot() if tree is not None else None)
+                         tree_snapshot=frontier.snapshot() if learns else None)
     result.harvest_rate, result.relevant_domains, result.unique_domains = metrics(result)
     return result
 

@@ -21,7 +21,6 @@ class Page:
     title: str
     body_text: str
     outlinks: list  # (normalized url, anchor text), deduplicated by url
-    status: str = "ok"
 
 
 class FetchFailure(Exception):

@@ -25,8 +25,6 @@ class FrontierEntry:
     x: np.ndarray
     url: str
     parent: str | None
-    anchor: str
-    inserted_at: int
 
 
 def best_split(features, rewards):
@@ -189,7 +187,7 @@ class TreeFrontier:
             self.n_frontier += 1
 
     def _draw_from_leaf(self, leaf, rng, url_fetched, domain_saturated):
-        """Uniform draw over the leaf's selectable entries.
+        """Index of a uniform draw over the leaf's selectable entries, or None.
 
         Entries whose URL has entered the closure are dead and get purged on
         sight; entries from saturated domains stay in the leaf but cannot be
@@ -198,42 +196,53 @@ class TreeFrontier:
         entries = leaf.frontier
         skipped = []
         chosen = None
-        chosen_idx = -1
         while entries:
             i = int(rng.integers(0, len(entries)))
             entry = entries[i]
             if url_fetched is not None and url_fetched(entry.url):
-                entries[i] = entries[-1]
-                entries.pop()
                 self.n_frontier -= 1
-                continue
-            if domain_saturated is not None and domain_saturated(entry.url):
+            elif domain_saturated is not None and domain_saturated(entry.url):
                 skipped.append(entry)
-                entries[i] = entries[-1]
-                entries.pop()
-                continue
-            chosen = entry
-            chosen_idx = i
-            break
+            else:
+                chosen = i
+                break
+            entries[i] = entries[-1]
+            entries.pop()
         entries.extend(skipped)
-        return chosen, chosen_idx
+        return chosen
 
     def sample_representatives(self, rng, url_fetched=None, domain_saturated=None):
-        """One uniformly drawn selectable entry per leaf; empty leaves are skipped."""
+        """One uniformly drawn selectable entry per leaf, as (leaf, index,
+        entry); empty leaves are skipped."""
         reps = []
         for leaf in self._leaves.values():
-            if not leaf.frontier:
-                continue
-            entry, idx = self._draw_from_leaf(leaf, rng, url_fetched, domain_saturated)
-            if entry is not None:
-                reps.append((leaf, idx, entry))
+            if leaf.frontier:
+                idx = self._draw_from_leaf(leaf, rng, url_fetched, domain_saturated)
+                if idx is not None:
+                    reps.append((leaf, idx, leaf.frontier[idx]))
         return reps
 
-    def _remove_entry(self, leaf, idx, entry):
-        assert leaf.frontier[idx] is entry
-        leaf.frontier[idx] = leaf.frontier[-1]
-        leaf.frontier.pop()
+    def _absorb(self, e_new, f_new) -> bool:
+        """Insert the newest experience, then the new entries; True on a split."""
+        split_occurred = e_new is not None and self.insert_experience(e_new[0], e_new[1])
+        self.insert_frontier(f_new)
+        return split_occurred
+
+    def _take(self, leaf, idx, split_occurred, n_representatives, q_evaluations,
+              q_value):
+        """Record the step as it stands at selection, then swap-remove the
+        chosen entry from its leaf."""
+        info = UpdateInfo(split_occurred=split_occurred,
+                          n_representatives=n_representatives,
+                          q_evaluations=q_evaluations, q_value=q_value,
+                          leaf_id=leaf.leaf_id, leaf_count=self.leaf_count,
+                          frontier_size=self.n_frontier)
+        entries = leaf.frontier
+        entry = entries[idx]
+        entries[idx] = entries[-1]
+        entries.pop()
         self.n_frontier -= 1
+        return entry, info
 
     def update(self, e_new, f_new, mode, qnet, rng,
                url_fetched=None, domain_saturated=None):
@@ -245,15 +254,10 @@ class TreeFrontier:
         over them, ties resolved toward the lowest leaf id. The selected entry
         leaves the tree; the other representatives stay in their leaves.
         """
-        split_occurred = False
-        if e_new is not None:
-            split_occurred = self.insert_experience(e_new[0], e_new[1])
-        self.insert_frontier(f_new)
-
+        split_occurred = self._absorb(e_new, f_new)
         reps = self.sample_representatives(rng, url_fetched, domain_saturated)
         if not reps:
             raise FrontierExhaustedError("no selectable frontier entries remain")
-        frontier_at_selection = self.n_frontier
 
         q_value = None
         evals = 0
@@ -269,57 +273,36 @@ class TreeFrontier:
             q_value = float(qs[pick])
         else:
             raise ValueError(f"unknown mode {mode!r}")
-
-        leaf, idx, entry = reps[pick]
-        self._remove_entry(leaf, idx, entry)
-        info = UpdateInfo(split_occurred=split_occurred, n_representatives=len(reps),
-                          q_evaluations=evals, q_value=q_value, leaf_id=leaf.leaf_id,
-                          leaf_count=self.leaf_count, frontier_size=frontier_at_selection)
-        return entry, info
+        leaf, idx, _ = reps[pick]
+        return self._take(leaf, idx, split_occurred, len(reps), evals, q_value)
 
     def update_synchronous(self, e_new, f_new, qnet, url_fetched=None,
                            domain_saturated=None):
         """Brute-force counterpart of update(): score every stored frontier
         entry with the value network and take the argmax over the selectable
         ones. Exists to measure the cost the representative sampling avoids."""
-        split_occurred = False
-        if e_new is not None:
-            split_occurred = self.insert_experience(e_new[0], e_new[1])
-        self.insert_frontier(f_new)
-
-        xs = []
+        split_occurred = self._absorb(e_new, f_new)
         refs = []
         for leaf in self._leaves.values():
-            kept = []
-            for entry in leaf.frontier:
-                if url_fetched is not None and url_fetched(entry.url):
-                    self.n_frontier -= 1
-                    continue
-                kept.append(entry)
-            leaf.frontier = kept
-            for i, entry in enumerate(kept):
-                xs.append(entry.x)
-                refs.append((leaf, i, entry))
-        if not xs:
+            if url_fetched is not None:
+                kept = [entry for entry in leaf.frontier if not url_fetched(entry.url)]
+                self.n_frontier -= len(leaf.frontier) - len(kept)
+                leaf.frontier = kept
+            refs.extend((leaf, i, entry) for i, entry in enumerate(leaf.frontier))
+        if not refs:
             raise FrontierExhaustedError("no selectable frontier entries remain")
 
-        qs = qnet.forward(np.stack(xs))
-        self.q_evaluations += len(xs)
-        frontier_at_selection = self.n_frontier
-
+        qs = qnet.forward(np.stack([entry.x for _, _, entry in refs]))
+        self.q_evaluations += len(refs)
         if domain_saturated is not None:
             qs = np.where([domain_saturated(entry.url) for _, _, entry in refs],
                           -np.inf, qs)
         best = int(np.argmax(qs))  # first maximum == lowest leaf id
         if qs[best] == -np.inf:
             raise FrontierExhaustedError("every remaining entry is domain-saturated")
-        leaf, idx, entry = refs[best]
-        self._remove_entry(leaf, idx, entry)
-        info = UpdateInfo(split_occurred=split_occurred, n_representatives=len(xs),
-                          q_evaluations=len(xs), q_value=float(qs[best]),
-                          leaf_id=leaf.leaf_id, leaf_count=self.leaf_count,
-                          frontier_size=frontier_at_selection)
-        return entry, info
+        leaf, idx, _ = refs[best]
+        return self._take(leaf, idx, split_occurred, len(refs), len(refs),
+                          float(qs[best]))
 
     def snapshot(self) -> dict:
         """JSON-friendly structure of split rules and per-leaf sample counts."""
@@ -334,42 +317,16 @@ class TreeFrontier:
                 "q_evaluations": self.q_evaluations, "tree": visit(self.root)}
 
 
-class FlatFrontier:
-    """Plain entry pool used by the uniform-random baseline; same skip and
-    purge semantics as a single tree leaf."""
-
-    def __init__(self):
-        self.entries = []
-        self.n_frontier = 0
-
-    @property
-    def frontier_size(self):
-        return self.n_frontier
+class FlatFrontier(TreeFrontier):
+    """The uniform-random baseline: a tree that is never given an experience
+    keeps its single leaf, so an explore draw from it is uniform over the
+    frontier, with a leaf's purge and skip rules. insert and select are a flat
+    pool's two calls; the crawl benchmark's tracer patches both by name."""
 
     def insert(self, entries):
-        entries = list(entries)
-        self.entries.extend(entries)
-        self.n_frontier += len(entries)
+        self.insert_frontier(entries)
 
     def select(self, rng, url_fetched=None, domain_saturated=None) -> FrontierEntry:
-        entries = self.entries
-        skipped = []
-        chosen = None
-        while entries:
-            i = int(rng.integers(0, len(entries)))
-            entry = entries[i]
-            entries[i] = entries[-1]
-            entries.pop()
-            if url_fetched is not None and url_fetched(entry.url):
-                self.n_frontier -= 1
-                continue
-            if domain_saturated is not None and domain_saturated(entry.url):
-                skipped.append(entry)
-                continue
-            chosen = entry
-            self.n_frontier -= 1
-            break
-        entries.extend(skipped)
-        if chosen is None:
-            raise FrontierExhaustedError("no selectable frontier entries remain")
-        return chosen
+        entry, _ = self.update(None, (), "explore", None, rng, url_fetched,
+                               domain_saturated)
+        return entry

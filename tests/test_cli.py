@@ -84,6 +84,25 @@ class TestCrawlCommand:
         for name in ("result.jsonl", "steps.csv", "loss.csv"):
             assert sha(os.path.join(dir1, name)) == sha(os.path.join(dir2, name))
 
+    def test_manifest_takes_no_other_crawl_flag(self, pipeline, tmp_path, capsys):
+        out1 = str(tmp_path / "r1")
+        rc = run_cli("crawl", "--mode", "sim", "--world", pipeline["world"],
+                     "--model", pipeline["model"], "--budget", "5",
+                     "--policy", "tres", "--seed", "9", "--out", out1)
+        assert rc == 0
+        (dir1,) = [os.path.join(out1, d) for d in os.listdir(out1)]
+        capsys.readouterr()
+        out2 = tmp_path / "r2"
+        rc = run_cli("crawl", "--from-manifest", os.path.join(dir1, "manifest.json"),
+                     "--budget", "3", "--policy", "random", "--no-hub-features",
+                     "--out", str(out2))
+        assert rc == 1
+        err = capsys.readouterr().err
+        for flag in ("--budget", "--policy", "--no-hub-features"):
+            assert flag in err
+        assert "--out" not in err.split("got", 1)[1]
+        assert not out2.exists()
+
     def test_tree_snapshot_written_for_tree_policies(self, pipeline, tmp_path):
         out = str(tmp_path / "runs")
         run_cli("crawl", "--mode", "sim", "--world", pipeline["world"],

@@ -90,6 +90,15 @@ class TestCrawlBasics:
             CrawlConfig(seeds=["http://a.com"], budget=1, policy="best").validate()
         with pytest.raises(ConfigError):
             CrawlConfig(seeds=["http://a.com"], budget=1, max_domain_visits=0).validate()
+        valid = CrawlConfig(seeds=["http://a.com/"], budget=5).to_dict()
+        for field, value in (("hub_features", "false"), ("hub_features", 1),
+                             ("budget", "5"), ("budget", 5.0), ("budget", True),
+                             ("warmup_steps", "5"), ("rng_seed", 1.5),
+                             ("max_text_len", None), ("max_domain_visits", 2.5),
+                             ("max_domain_visits", "3"), ("seeds", "http://a.com/"),
+                             ("seeds", ["http://a.com/", 3])):
+            with pytest.raises(ConfigError, match=field):
+                CrawlConfig.from_dict({**valid, field: value}).validate()
 
     def test_config_round_trips_through_dict(self):
         cfg = CrawlConfig(seeds=["http://a.com"], budget=7, policy="random",
@@ -102,6 +111,18 @@ class TestCrawlBasics:
                             ("agent.learning_rat", {"agent": {"learning_rat": 0.1}})):
             with pytest.raises(ConfigError, match=key):
                 CrawlConfig.from_dict({**cfg.to_dict(), **record})
+
+
+    def test_random_is_the_tree_without_experience(self, oracle_model, kws, tmp_path):
+        world = all_relevant_world(n=30)
+        cfg = CrawlConfig(seeds=world.seed_urls, budget=20, policy="random",
+                          max_domain_visits=8, rng_seed=3)
+        result = crawl(cfg, SimFetcher(world), oracle_model, kws)
+        assert len(result.steps) == 20
+        for step in result.steps:
+            assert (step.leaf_count, step.q_evals, step.split_occurred) == (1, 0, 0)
+        assert "tree" not in write_run(result, tmp_path)
+        assert not (tmp_path / "tree.json").exists()
 
 
 class TestMaxDomain:

@@ -38,9 +38,8 @@ def oracle_best_split(X, y):
     return best
 
 
-def entry(x, url="http://x.com/a", parent="http://x.com/s", anchor="", t=0):
-    return FrontierEntry(x=np.asarray(x, dtype=float), url=url, parent=parent,
-                         anchor=anchor, inserted_at=t)
+def entry(x, url="http://x.com/a", parent="http://x.com/s"):
+    return FrontierEntry(x=np.asarray(x, dtype=float), url=url, parent=parent)
 
 
 def leaf_predicates(tree, target_leaf):
@@ -451,6 +450,17 @@ class TestFlatFrontier:
                              domain_saturated=lambda u: u.startswith("http://full"))
         assert chosen.url == "http://open.com/b"
         assert flat.frontier_size == 1
+
+    def test_stays_one_leaf(self):
+        rng = np.random.default_rng(13)
+        flat = FlatFrontier()
+        for i in range(30):
+            flat.insert([entry(rng.uniform(size=3), url=f"http://x.com/{i}-{j}")
+                         for j in range(3)])
+            flat.select(rng)
+            assert flat.leaf_count == 1
+        assert flat.frontier_size == 60
+        assert flat.n_experience == 0 and flat.q_evaluations == 0
 
 
 class TestSnapshot:
