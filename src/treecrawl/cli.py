@@ -128,6 +128,8 @@ def _config_from_args(args):
         given = [{"hub_features": "--no-hub-features"}.get(key, "--" + key.replace("_", "-"))
                  for key, value in vars(args).items()
                  if key not in ("out", "from_manifest") and value != defaults[key]]
+        if os.environ.get("TREECRAWL_CONFIG"):
+            given.append("TREECRAWL_CONFIG (environment)")
         if given:
             raise ConfigError("--from-manifest replays the manifest's config and takes "
                               f"no other crawl flag but --out; got {', '.join(given)}")

@@ -69,10 +69,11 @@ class KeywordSet:
         overlap = self.initial & self.discovered
         if overlap:
             raise ValueError(f"keywords both initial and discovered: {sorted(overlap)}")
+        object.__setattr__(self, "_combined", self.initial | self.discovered)
 
     @property
     def combined(self):
-        return self.initial | self.discovered
+        return self._combined
 
     def __contains__(self, token):
         return token in self.initial or token in self.discovered

@@ -27,6 +27,27 @@ class FrontierEntry:
     parent: str | None
 
 
+def _variance_reduction(n, k, sl, ssl, total_sum, total_ss, var_parent):
+    """Reward-variance reduction of putting the first k of n sorted rows on the
+    left, given the left rewards' sum sl and sum of squares ssl.
+
+    Works on scalars and, elementwise, on arrays. The results can differ in
+    the last bits: numpy squares an array by multiplication but a scalar with
+    libm pow(), which is not always correctly rounded.
+    """
+    nr = n - k
+    sr = total_sum - sl
+    ssr = total_ss - ssl
+    var_l = ssl / k - (sl / k) ** 2
+    var_r = ssr / nr - (sr / nr) ** 2
+    return var_parent - (k / n) * var_l - (nr / n) * var_r
+
+
+# How far an array-computed reduction may lie from the scalar one, as a share
+# of the largest squared reward; the rounding error is below 3e-15 of it.
+_ROUNDING_SLACK = 1e-12
+
+
 def best_split(features, rewards):
     """Exhaustive search over (feature, midpoint threshold) pairs for the split
     with the highest positive variance reduction.
@@ -36,50 +57,60 @@ def best_split(features, rewards):
     the rewards, computed as E[r^2] - E[r]^2 from plain sums; for 0/1 rewards
     the sums are exact, which keeps the search reproducible against an
     independent recomputation. Returns (feature, threshold, vr) or None when
-    no candidate achieves vr > 0.
+    no candidate achieves vr > 0; ties go to the lowest feature, then the
+    lowest threshold.
+
+    All candidates are scored at once from prefix sums over each feature's
+    stable sort order (the CART scan). The few that could still win once
+    array rounding is allowed for are rescored with scalar arithmetic, so the
+    result is exactly that of a scalar loop over every candidate.
     """
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(rewards, dtype=np.float64)
     n = y.shape[0]
     if n < 2:
         return None
+    if y[0] in (0.0, 1.0) and (y == y[0]).all():
+        return None  # every candidate's vr is exactly 0 for constant 0/1 rewards
     total_sum = float(y.sum())
     total_ss = float((y * y).sum())
     var_parent = total_ss / n - (total_sum / n) ** 2
+    # Row f holds feature f's values in stable ascending order; candidate
+    # (f, j) puts the first j + 1 of them on the left.
+    order = np.argsort(X.T, axis=1, kind="stable")
+    vs = X.T[np.arange(X.shape[1])[:, None], order]
+    ys = y[order]
+    csum = np.cumsum(ys, axis=1)
+    cssum = np.cumsum(ys * ys, axis=1)
+    vr = _variance_reduction(n, np.arange(1, n), csum[:, :-1], cssum[:, :-1],
+                             total_sum, total_ss, var_parent)
+    vr[vs[:, 1:] == vs[:, :-1]] = -np.inf  # no threshold between equal values
+
+    slack = _ROUNDING_SLACK * float(np.max(y * y))
+    upper = vr + slack
+    contenders = np.flatnonzero((upper > 0.0) & (upper >= np.max(vr) - slack))
     best = None
-    for f in range(X.shape[1]):
-        values = X[:, f]
-        order = np.argsort(values, kind="stable")
-        vs = values[order]
-        ys = y[order]
-        csum = np.cumsum(ys)
-        cssum = np.cumsum(ys * ys)
-        for k in range(1, n):
-            if vs[k] == vs[k - 1]:
-                continue
-            c = (vs[k - 1] + vs[k]) / 2.0
-            nl = k
-            sl = csum[k - 1]
-            ssl = cssum[k - 1]
-            nr = n - k
-            sr = total_sum - sl
-            ssr = total_ss - ssl
-            var_l = ssl / nl - (sl / nl) ** 2
-            var_r = ssr / nr - (sr / nr) ** 2
-            vr = var_parent - (nl / n) * var_l - (nr / n) * var_r
-            if vr > 0.0 and (best is None or vr > best[2]):
-                best = (f, float(c), float(vr))
+    for i in contenders:  # feature-major, the order of a scalar loop
+        f, j = divmod(int(i), n - 1)
+        v = _variance_reduction(n, j + 1, csum[f, j], cssum[f, j], total_sum,
+                                total_ss, var_parent)
+        if v > 0.0 and (best is None or v > best[2]):
+            best = (f, float((vs[f, j] + vs[f, j + 1]) / 2.0), float(v))
     return best
 
 
 class _Node:
-    __slots__ = ("leaf_id", "exp_x", "exp_r", "frontier", "feature", "threshold",
+    """A tree node. A leaf keeps its experience in row arrays whose capacity
+    doubles when full; exp_x and exp_r are views of the rows filled so far."""
+
+    __slots__ = ("leaf_id", "_x", "_r", "n_exp", "frontier", "feature", "threshold",
                  "left", "right")
 
-    def __init__(self, leaf_id):
+    def __init__(self, leaf_id, exp_x=np.empty((0, 0)), exp_r=np.empty(0)):
         self.leaf_id = leaf_id
-        self.exp_x = []
-        self.exp_r = []
+        self._x = exp_x
+        self._r = exp_r
+        self.n_exp = len(exp_r)
         self.frontier = []
         self.feature = None
         self.threshold = None
@@ -89,6 +120,24 @@ class _Node:
     @property
     def is_leaf(self):
         return self.feature is None
+
+    @property
+    def exp_x(self):
+        return self._x[:self.n_exp]
+
+    @property
+    def exp_r(self):
+        return self._r[:self.n_exp]
+
+    def add_experience(self, x, reward):
+        n = self.n_exp
+        if n == len(self._r):
+            # np.resize keeps the first n rows and fills the rest with repeats.
+            self._x = np.resize(self._x, (max(16, 2 * n), len(x)))
+            self._r = np.resize(self._r, max(16, 2 * n))
+        self._x[n] = x
+        self._r[n] = reward
+        self.n_exp = n + 1
 
 
 @dataclass
@@ -120,8 +169,8 @@ class TreeFrontier:
         self.n_frontier = 0
         self.q_evaluations = 0  # cumulative, selection-attributable only
 
-    def _new_leaf(self):
-        node = _Node(self._next_id)
+    def _new_leaf(self, *experience):
+        node = _Node(self._next_id, *experience)
         self._next_id += 1
         return node
 
@@ -151,27 +200,22 @@ class TreeFrontier:
         """
         x = np.asarray(x, dtype=np.float64)
         leaf = self._route(x)
-        leaf.exp_x.append(x)
-        leaf.exp_r.append(float(reward))
+        leaf.add_experience(x, float(reward))
         self.n_experience += 1
-        found = best_split(np.stack(leaf.exp_x), np.array(leaf.exp_r))
+        found = best_split(leaf.exp_x, leaf.exp_r)
         if found is None:
             return False
         self._split_leaf(leaf, found[0], found[1])
         return True
 
     def _split_leaf(self, leaf, feature, threshold):
-        left = self._new_leaf()
-        right = self._new_leaf()
-        for xv, rv in zip(leaf.exp_x, leaf.exp_r):
-            child = left if xv[feature] < threshold else right
-            child.exp_x.append(xv)
-            child.exp_r.append(rv)
+        goes_left = leaf.exp_x[:, feature] < threshold
+        left = self._new_leaf(leaf.exp_x[goes_left], leaf.exp_r[goes_left])
+        right = self._new_leaf(leaf.exp_x[~goes_left], leaf.exp_r[~goes_left])
         for entry in leaf.frontier:
             child = left if entry.x[feature] < threshold else right
             child.frontier.append(entry)
-        leaf.exp_x = []
-        leaf.exp_r = []
+        leaf._x, leaf._r, leaf.n_exp = np.empty((0, 0)), np.empty(0), 0
         leaf.frontier = []
         leaf.feature = feature
         leaf.threshold = threshold
@@ -309,7 +353,7 @@ class TreeFrontier:
         def visit(node):
             if node.is_leaf:
                 return {"leaf": node.leaf_id,
-                        "experience": len(node.exp_r),
+                        "experience": node.n_exp,
                         "frontier": len(node.frontier)}
             return {"feature": int(node.feature), "threshold": float(node.threshold),
                     "left": visit(node.left), "right": visit(node.right)}

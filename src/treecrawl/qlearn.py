@@ -36,6 +36,22 @@ class AgentConfig:
     next_action_cap: int = 256
 
     def __post_init__(self):
+        # type(...) is int also refuses bools, which Python counts as ints.
+        for name in ("gamma", "learning_rate", "eps_start", "eps_end"):
+            value = getattr(self, name)
+            if type(value) is not int and not isinstance(value, float):
+                raise ValueError(f"agent.{name} must be a number")
+        for name in ("batch_size", "target_sync_every", "replay_capacity",
+                     "next_action_cap"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"agent.{name} must be an integer")
+        if self.eps_decay_steps is not None and type(self.eps_decay_steps) is not int:
+            raise ValueError("agent.eps_decay_steps must be an integer or null")
+        if not (isinstance(self.hidden, (list, tuple)) and len(self.hidden) == 2
+                and all(type(h) is int and h > 0 for h in self.hidden)):
+            raise ValueError("agent.hidden must be two positive integers")
+        if self.activation not in ("relu", "tanh"):
+            raise ValueError("agent.activation must be 'relu' or 'tanh'")
         self.hidden = tuple(self.hidden)  # a list after a JSON round trip
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma must lie in [0, 1]")
@@ -223,23 +239,20 @@ def batch_targets(records, online: QNetwork, target: QNetwork, gamma: float) -> 
     """Vectorized targets: one online pass over all follow-up vectors, one
     target pass over the per-record argmax rows."""
     ys = np.array([r.reward for r in records], dtype=np.float64)
-    sizes = [r.next_vectors.shape[0] for r in records]
-    if sum(sizes) == 0:
+    sizes = np.array([r.next_vectors.shape[0] for r in records])
+    if sizes.sum() == 0:
         return ys
     stacked = np.concatenate([r.next_vectors for r in records if r.next_vectors.shape[0] > 0])
     online_q = online.forward(stacked)
-    chosen = []
-    offset = 0
-    for i, size in enumerate(sizes):
-        if size == 0:
-            continue
-        seg = online_q[offset:offset + size]
-        chosen.append((i, offset + int(np.argmax(seg))))
-        offset += size
-    rows = stacked[[c[1] for c in chosen]]
-    target_q = target.forward(rows)
-    for (i, _), tq in zip(chosen, target_q):
-        ys[i] += gamma * float(tq)
+    # Each record's values in its own row, padded with -inf; argmax takes the
+    # first maximum, as for each record's segment alone.
+    starts = np.cumsum(sizes) - sizes
+    rows = np.repeat(np.arange(len(records)), sizes)
+    padded = np.full((len(records), sizes.max()), -np.inf)
+    padded[rows, np.arange(len(stacked)) - starts[rows]] = online_q
+    has_next = sizes > 0
+    chosen = (starts + padded.argmax(axis=1))[has_next]
+    ys[has_next] += gamma * target.forward(stacked[chosen])
     return ys
 
 

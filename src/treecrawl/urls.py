@@ -1,11 +1,16 @@
 """URL canonicalization so the fetch-once rule sees one spelling per resource."""
 
+from functools import lru_cache
 from urllib.parse import urlsplit
 
 _UNRESERVED = frozenset(
     "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-._~"
 )
 _DEFAULT_PORTS = {"http": "80", "https": "443"}
+# URLs whose domain is remembered. A crawl asks for one URL's domain many times
+# (cap checks, hub features, fetch bookkeeping); the default simulated world's
+# 10,000 URLs fit.
+DOMAIN_CACHE_SIZE = 1 << 15
 
 
 class MalformedUrlError(ValueError):
@@ -64,8 +69,12 @@ def normalize_url(raw) -> str:
     return url
 
 
+@lru_cache(maxsize=DOMAIN_CACHE_SIZE)
 def domain_of(url) -> str:
-    """Host component, lowercased, ports stripped; subdomains are distinct domains."""
+    """Host component, lowercased, ports stripped; subdomains are distinct domains.
+
+    Memoized; a malformed URL raises on every call, as errors are not cached.
+    """
     try:
         parts = urlsplit(url)
     except ValueError as exc:

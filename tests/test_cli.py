@@ -103,6 +103,40 @@ class TestCrawlCommand:
         assert "--out" not in err.split("got", 1)[1]
         assert not out2.exists()
 
+    def test_manifest_refuses_env_config(self, pipeline, tmp_path, monkeypatch, capsys):
+        out1 = str(tmp_path / "r1")
+        rc = run_cli("crawl", "--mode", "sim", "--world", pipeline["world"],
+                     "--model", pipeline["model"], "--budget", "5",
+                     "--policy", "random", "--seed", "9", "--out", out1)
+        assert rc == 0
+        (dir1,) = [os.path.join(out1, d) for d in os.listdir(out1)]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"budget": 2}))
+        monkeypatch.setenv("TREECRAWL_CONFIG", str(cfg_path))
+        capsys.readouterr()
+        out2 = tmp_path / "r2"
+        rc = run_cli("crawl", "--from-manifest", os.path.join(dir1, "manifest.json"),
+                     "--out", str(out2))
+        assert rc == 1
+        assert "TREECRAWL_CONFIG" in capsys.readouterr().err
+        assert not out2.exists()
+
+    @pytest.mark.parametrize("agent, field", [({"batch_size": "32"}, "batch_size"),
+                                              ({"hidden": 5}, "hidden"),
+                                              ({"gamma": True}, "gamma"),
+                                              ({"activation": "sigmoid"}, "activation")])
+    def test_agent_field_types_checked(self, pipeline, tmp_path, capsys, agent, field):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"agent": agent}))
+        out = tmp_path / "runs"
+        capsys.readouterr()
+        rc = run_cli("crawl", "--mode", "sim", "--world", pipeline["world"],
+                     "--model", pipeline["model"], "--budget", "5",
+                     "--config", str(cfg_path), "--out", str(out))
+        assert rc == 1
+        assert f"agent.{field}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_tree_snapshot_written_for_tree_policies(self, pipeline, tmp_path):
         out = str(tmp_path / "runs")
         run_cli("crawl", "--mode", "sim", "--world", pipeline["world"],

@@ -38,6 +38,67 @@ def oracle_best_split(X, y):
     return best
 
 
+def loop_best_split(features, rewards):
+    """The per-threshold loop that the array scan replaced, kept as the
+    reference: the scan must return exactly its tuple, vr included."""
+    X = np.asarray(features, dtype=np.float64)
+    y = np.asarray(rewards, dtype=np.float64)
+    n = y.shape[0]
+    if n < 2:
+        return None
+    total_sum = float(y.sum())
+    total_ss = float((y * y).sum())
+    var_parent = total_ss / n - (total_sum / n) ** 2
+    best = None
+    for f in range(X.shape[1]):
+        values = X[:, f]
+        order = np.argsort(values, kind="stable")
+        vs = values[order]
+        ys = y[order]
+        csum = np.cumsum(ys)
+        cssum = np.cumsum(ys * ys)
+        for k in range(1, n):
+            if vs[k] == vs[k - 1]:
+                continue
+            c = (vs[k - 1] + vs[k]) / 2.0
+            nl = k
+            sl = csum[k - 1]
+            ssl = cssum[k - 1]
+            nr = n - k
+            sr = total_sum - sl
+            ssr = total_ss - ssl
+            var_l = ssl / nl - (sl / nl) ** 2
+            var_r = ssr / nr - (sr / nr) ** 2
+            vr = var_parent - (nl / n) * var_l - (nr / n) * var_r
+            if vr > 0.0 and (best is None or vr > best[2]):
+                best = (f, float(c), float(vr))
+    return best
+
+
+def crawl_shaped_rows(rng, n):
+    """n state-action vectors shaped like the crawler's 8 features: 0/1 and
+    {0, 0.5, 1} columns full of duplicates, ratios and probabilities."""
+    return np.column_stack([
+        rng.integers(0, 2, n).astype(float),          # parent reward
+        rng.choice([0.0, 1 / 3, 0.5, 1.0], n),         # inverse distance
+        rng.integers(0, 4, n) / rng.integers(1, 5, n),  # path ratio
+        rng.integers(0, 2, n).astype(float),          # keyword in URL
+        rng.integers(0, 2, n).astype(float),          # keyword in anchor
+        np.round(rng.uniform(size=n), 3),              # relevance probability
+        rng.choice([0.0, 0.5, 1.0], n),                # domain ratio
+        rng.choice([0.5, 1.0], n),                     # known domain
+    ])
+
+
+def crawl_shaped_rewards(rng, n):
+    kind = rng.integers(0, 6)
+    if kind == 0:
+        return np.full(n, float(rng.choice([0.0, 1.0, 0.3])))  # all equal
+    if kind == 1:
+        return rng.uniform(size=n)  # real-valued rewards
+    return (rng.uniform(size=n) < rng.uniform(0.02, 0.5)).astype(float)
+
+
 def entry(x, url="http://x.com/a", parent="http://x.com/s"):
     return FrontierEntry(x=np.asarray(x, dtype=float), url=url, parent=parent)
 
@@ -104,6 +165,42 @@ class TestBestSplit:
                 assert got[2] == pytest.approx(expected[2], abs=1e-9)
 
 
+    def test_scan_equals_loop_on_crawl_shaped_leaves(self):
+        rng = np.random.default_rng(41)
+        sizes = [2, 3, 4, 5, 17, 600] + list(rng.integers(2, 601, size=194))
+        for n in sizes:
+            X = crawl_shaped_rows(rng, n)
+            if rng.random() < 0.2:
+                X[:, rng.integers(0, 8)] = 0.5  # a constant column
+            if rng.random() < 0.2:
+                # near-tie: a copy of one column with one value nudged
+                f, g = rng.choice(8, size=2, replace=False)
+                X[:, g] = X[:, f]
+                X[rng.integers(0, n), g] += 1e-12
+            y = crawl_shaped_rewards(rng, n)
+            assert best_split(X, y) == loop_best_split(X, y), n
+
+    def test_scan_equals_loop_on_exact_ties(self):
+        rng = np.random.default_rng(42)
+        for _ in range(100):
+            n = int(rng.integers(2, 80))
+            base = crawl_shaped_rows(rng, n)[:, 5]
+            # same partitions under different features: the lowest wins
+            X = np.column_stack([base * 0, base, base * 2 + 1, base])
+            y = crawl_shaped_rewards(rng, n)
+            got = best_split(X, y)
+            assert got == loop_best_split(X, y)
+            assert got is None or got[0] == 1
+
+    def test_scan_on_uniform_leaves_matches_loop(self):
+        rng = np.random.default_rng(43)
+        for _ in range(300):
+            n = int(rng.integers(2, 120))
+            X = rng.uniform(size=(n, int(rng.integers(1, 9))))
+            y = rng.normal(size=n) if rng.random() < 0.5 else rng.integers(0, 2, n) * 1.0
+            assert best_split(X, y) == loop_best_split(X, y)
+
+
 class TestInsertExperience:
     def test_first_insert_no_split(self):
         tree = TreeFrontier()
@@ -140,8 +237,8 @@ class TestInsertExperience:
             r = float(rng.integers(0, 2))
             target_leaf = tree._route(x)
             predicted = oracle_best_split(
-                np.stack(target_leaf.exp_x + [x]),
-                np.array(target_leaf.exp_r + [r])) if target_leaf.exp_r else None
+                np.vstack([target_leaf.exp_x, x]),
+                np.append(target_leaf.exp_r, r)) if len(target_leaf.exp_r) else None
             before = tree.leaf_count
             split = tree.insert_experience(x, r)
             deltas.append(tree.leaf_count - before)
@@ -153,6 +250,47 @@ class TestInsertExperience:
                 assert predicted[2] > 0
         assert set(deltas) <= {0, 1}
         assert tree.leaf_count <= 1 + 400
+
+    def test_array_leaves_follow_list_reference(self):
+        """Array-backed leaves split and re-route experience exactly as a
+        tree of per-leaf lists searched by the loop does, including after
+        their arrays grow."""
+        rng = np.random.default_rng(44)
+        tree = TreeFrontier()
+        # reference leaves: leaf id -> (rows, rewards, path predicates)
+        ref = {0: ([], [], [])}
+        growths = 0
+        for _ in range(1000):
+            x = crawl_shaped_rows(rng, 1)[0]
+            r = float(rng.random() < (0.6 if x[5] > 0.7 else 0.05))
+            leaf = tree._route(x)
+            (leaf_id, (rows, rewards, path)), = [
+                (k, v) for k, v in ref.items() if satisfies(x, v[2])]
+            assert leaf.leaf_id == leaf_id
+            capacity = len(leaf._r)
+            rows.append(x)
+            rewards.append(r)
+            expected = loop_best_split(np.stack(rows), np.array(rewards))
+            split = tree.insert_experience(x, r)
+            assert split == (expected is not None)
+            if split:
+                f, c, _ = expected
+                assert (leaf.feature, leaf.threshold) == (f, c)
+                del ref[leaf_id]
+                for child, left in ((leaf.left, True), (leaf.right, False)):
+                    keep = [j for j, row in enumerate(rows) if (row[f] < c) == left]
+                    ref[child.leaf_id] = ([rows[j] for j in keep],
+                                          [rewards[j] for j in keep],
+                                          path + [(f, c, left)])
+            else:
+                growths += len(leaf._r) != capacity
+        assert growths >= 10
+        assert max(leaf.n_exp for leaf in tree.leaves()) > 64
+        assert sorted(ref) == sorted(leaf.leaf_id for leaf in tree.leaves())
+        for leaf in tree.leaves():
+            rows, rewards, _ = ref[leaf.leaf_id]
+            assert np.array_equal(leaf.exp_x, np.stack(rows))
+            assert np.array_equal(leaf.exp_r, np.array(rewards))
 
     def test_experience_conservation(self):
         rng = np.random.default_rng(4)

@@ -262,6 +262,24 @@ class TestAgentConfig:
         with pytest.raises(ValueError):
             AgentConfig(batch_size=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("gamma", "0.9"), ("gamma", True), ("learning_rate", None),
+        ("eps_start", "1"), ("eps_end", False),
+        ("batch_size", "32"), ("batch_size", 32.0), ("batch_size", True),
+        ("target_sync_every", 1.5), ("replay_capacity", "100"),
+        ("next_action_cap", None), ("eps_decay_steps", "5"), ("eps_decay_steps", True),
+        ("hidden", 5), ("hidden", "ab"), ("hidden", (64,)), ("hidden", (64, 0)),
+        ("hidden", (64, 32.0)), ("hidden", (64, True)),
+        ("activation", "sigmoid"), ("activation", None)])
+    def test_field_types_checked(self, field, value):
+        with pytest.raises(ValueError, match=f"agent.{field}"):
+            AgentConfig(**{field: value})
+
+    def test_ints_accepted_where_floats_belong(self):
+        cfg = AgentConfig(gamma=1, learning_rate=1, eps_start=1, eps_end=0,
+                          hidden=[8, 4], eps_decay_steps=10, activation="tanh")
+        assert cfg.hidden == (8, 4) and cfg.gamma == 1
+
     def test_epsilon_schedule_endpoints(self):
         cfg = AgentConfig(eps_start=1.0, eps_end=0.05)
         assert cfg.epsilon(0, 5000) == 1.0

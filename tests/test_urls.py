@@ -1,6 +1,7 @@
 import pytest
 
-from treecrawl.urls import MalformedUrlError, domain_of, normalize_url
+from treecrawl.urls import (DOMAIN_CACHE_SIZE, MalformedUrlError, domain_of,
+                            normalize_url)
 
 
 class TestNormalize:
@@ -54,3 +55,17 @@ class TestDomain:
     def test_malformed(self):
         with pytest.raises(MalformedUrlError):
             domain_of("nothing-here")
+
+    def test_malformed_raises_on_every_call(self):
+        for _ in range(3):  # an error is never cached as a result
+            with pytest.raises(MalformedUrlError):
+                domain_of("http:///no-host")
+            with pytest.raises(MalformedUrlError):
+                domain_of("http://[::1/x")
+
+    def test_cache_is_bounded_by_a_constant(self):
+        assert domain_of.cache_info().maxsize == DOMAIN_CACHE_SIZE
+        before = domain_of.cache_info().hits
+        assert domain_of("http://Cached.EXAMPLE:81/a") == "cached.example"
+        assert domain_of("http://Cached.EXAMPLE:81/a") == "cached.example"
+        assert domain_of.cache_info().hits > before
