@@ -68,6 +68,8 @@ class CrawlConfig:
         """Inverse of to_dict; raises ConfigError naming every unknown key."""
         record = dict(record)
         agent = record.pop("agent", {})
+        if not isinstance(agent, dict):
+            raise ConfigError("agent must be an object of AgentConfig fields")
         unknown = sorted(set(record) - {f.name for f in fields(cls)}) + sorted(
             "agent." + k for k in set(agent) - {f.name for f in fields(AgentConfig)})
         if unknown:

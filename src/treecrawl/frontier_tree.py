@@ -145,9 +145,9 @@ class UpdateInfo:
     """What one selection step did; the crawl loop's record of the step.
 
     frontier_size counts the entries stored at selection time, the chosen one
-    included. Entries are purged only when a draw meets them, so the count
-    can include URLs that were already fetched, and a URL reached by several
-    links counts once per link.
+    included. A draw drops fetched URLs and saturated domains' entries only
+    when it meets them, so the count can still hold both kinds, and a URL
+    reached by several links counts once per link.
     """
     split_occurred: bool
     n_representatives: int
@@ -233,37 +233,31 @@ class TreeFrontier:
     def _draw_from_leaf(self, leaf, rng, url_fetched, domain_saturated):
         """Index of a uniform draw over the leaf's selectable entries, or None.
 
-        Entries whose URL has entered the closure are dead and get purged on
-        sight; entries from saturated domains stay in the leaf but cannot be
-        drawn this step.
+        An entry met by a draw is dropped from the frontier for good when its
+        URL has entered the closure or its domain is saturated: fetch counts
+        only grow and the cap is fixed for a crawl, so neither kind could
+        ever be selected again.
         """
         entries = leaf.frontier
-        skipped = []
-        chosen = None
         while entries:
             i = int(rng.integers(0, len(entries)))
-            entry = entries[i]
-            if url_fetched is not None and url_fetched(entry.url):
-                self.n_frontier -= 1
-            elif domain_saturated is not None and domain_saturated(entry.url):
-                skipped.append(entry)
-            else:
-                chosen = i
-                break
+            url = entries[i].url
+            if not ((url_fetched is not None and url_fetched(url))
+                    or (domain_saturated is not None and domain_saturated(url))):
+                return i
             entries[i] = entries[-1]
             entries.pop()
-        entries.extend(skipped)
-        return chosen
+            self.n_frontier -= 1
+        return None
 
     def sample_representatives(self, rng, url_fetched=None, domain_saturated=None):
         """One uniformly drawn selectable entry per leaf, as (leaf, index,
         entry); empty leaves are skipped."""
         reps = []
         for leaf in self._leaves.values():
-            if leaf.frontier:
-                idx = self._draw_from_leaf(leaf, rng, url_fetched, domain_saturated)
-                if idx is not None:
-                    reps.append((leaf, idx, leaf.frontier[idx]))
+            idx = self._draw_from_leaf(leaf, rng, url_fetched, domain_saturated)
+            if idx is not None:
+                reps.append((leaf, idx, leaf.frontier[idx]))
         return reps
 
     def _absorb(self, e_new, f_new) -> bool:
@@ -364,8 +358,9 @@ class TreeFrontier:
 class FlatFrontier(TreeFrontier):
     """The uniform-random baseline: a tree that is never given an experience
     keeps its single leaf, so an explore draw from it is uniform over the
-    frontier, with a leaf's purge and skip rules. insert and select are a flat
-    pool's two calls; the crawl benchmark's tracer patches both by name."""
+    frontier, under a leaf's one drop rule (_draw_from_leaf). insert and
+    select are a flat pool's two calls; the crawl benchmark's tracer patches
+    both by name."""
 
     def insert(self, entries):
         self.insert_frontier(entries)

@@ -45,23 +45,25 @@ class AgentConfig:
                      "next_action_cap"):
             if type(getattr(self, name)) is not int:
                 raise ValueError(f"agent.{name} must be an integer")
-        if self.eps_decay_steps is not None and type(self.eps_decay_steps) is not int:
-            raise ValueError("agent.eps_decay_steps must be an integer or null")
+        decay = self.eps_decay_steps
+        if decay is not None and (type(decay) is not int or decay < 1):
+            raise ValueError("agent.eps_decay_steps must be a positive integer or null")
         if not (isinstance(self.hidden, (list, tuple)) and len(self.hidden) == 2
                 and all(type(h) is int and h > 0 for h in self.hidden)):
             raise ValueError("agent.hidden must be two positive integers")
         if self.activation not in ("relu", "tanh"):
             raise ValueError("agent.activation must be 'relu' or 'tanh'")
         self.hidden = tuple(self.hidden)  # a list after a JSON round trip
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError("gamma must lie in [0, 1]")
+        for name in ("gamma", "eps_start", "eps_end"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"agent.{name} must lie in [0, 1]")
         for name in ("learning_rate", "batch_size", "target_sync_every",
                      "replay_capacity", "next_action_cap"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+                raise ValueError(f"agent.{name} must be positive")
 
     def epsilon(self, step, budget):
-        decay = self.eps_decay_steps if self.eps_decay_steps else max(1, int(0.2 * budget))
+        decay = max(1, int(0.2 * budget)) if self.eps_decay_steps is None else self.eps_decay_steps
         frac = min(1.0, step / decay)
         return self.eps_start + (self.eps_end - self.eps_start) * frac
 

@@ -1,13 +1,27 @@
 import numpy as np
 import pytest
 
-from treecrawl import KeywordSet, RelevanceModel
+from treecrawl import KeywordSet, RelevanceModel, generate_sim_world, training_corpus
+from treecrawl.reward import PageText, train
 from treecrawl.simworld import SimPage, SimWorld, SimWorldParams
 
 
 @pytest.fixture
 def keywords():
     return KeywordSet(frozenset({"topic00", "topic01", "topic02"}))
+
+
+@pytest.fixture(scope="session")
+def acceptance_world():
+    """The acceptance world (SimWorldParams() seed 0), its keyword set and the
+    relevance model trained on its corpus."""
+    world = generate_sim_world(SimWorldParams(), seed=0)
+    keywords = KeywordSet(frozenset(world.keywords))
+    pages = [(PageText.from_page(r["url"], r["title"], r["text"]), r["label"])
+             for r in training_corpus(world, 150, 1500, seed=0)]
+    model = train([p for p, label in pages if label == 1],
+                  [p for p, label in pages if label == 0], keywords, seed=0)
+    return world, keywords, model
 
 
 @pytest.fixture

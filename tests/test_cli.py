@@ -124,7 +124,9 @@ class TestCrawlCommand:
     @pytest.mark.parametrize("agent, field", [({"batch_size": "32"}, "batch_size"),
                                               ({"hidden": 5}, "hidden"),
                                               ({"gamma": True}, "gamma"),
-                                              ({"activation": "sigmoid"}, "activation")])
+                                              ({"activation": "sigmoid"}, "activation"),
+                                              ({"eps_start": 3.0}, "eps_start"),
+                                              ({"eps_decay_steps": -5}, "eps_decay_steps")])
     def test_agent_field_types_checked(self, pipeline, tmp_path, capsys, agent, field):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"agent": agent}))

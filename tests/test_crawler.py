@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from treecrawl.crawler import (ConfigError, CrawlConfig, CrawlResult, crawl,
-                               enforce_max_domain, metrics)
+from treecrawl import crawler
+from treecrawl.crawler import (ConfigError, CrawlConfig, CrawlResult, _outlink_entries,
+                               crawl, enforce_max_domain, metrics)
 from treecrawl.fetch import SimFetcher
 from treecrawl.graph import CrawlGraph
 from treecrawl.qlearn import AgentConfig
@@ -99,6 +100,9 @@ class TestCrawlBasics:
                              ("seeds", ["http://a.com/", 3])):
             with pytest.raises(ConfigError, match=field):
                 CrawlConfig.from_dict({**valid, field: value}).validate()
+        for agent in (5, None, [1]):
+            with pytest.raises(ConfigError, match="agent must be an object"):
+                CrawlConfig.from_dict({**valid, "agent": agent})
 
     def test_config_round_trips_through_dict(self):
         cfg = CrawlConfig(seeds=["http://a.com"], budget=7, policy="random",
@@ -151,6 +155,29 @@ class TestMaxDomain:
         # the seed's own fetch occupies one slot of its domain
         seed_domain = "d0.sim"
         assert counts.get(seed_domain, 0) <= 3
+
+    def test_saturated_entries_leave_the_frontier(self, acceptance_world, monkeypatch):
+        # Each saturated finding drops an entry, so there can be no more of
+        # them than entries ever inserted; rechecking kept ones exceeds that.
+        world, keywords, model = acceptance_world
+        inserted, saturated = [], []
+
+        def counting_entries(*args):
+            entries = _outlink_entries(*args)
+            inserted.append(len(entries))
+            return entries
+
+        def counting_cap(graph, url, max_visits):
+            allowed = enforce_max_domain(graph, url, max_visits)
+            saturated.append(not allowed)
+            return allowed
+
+        monkeypatch.setattr(crawler, "_outlink_entries", counting_entries)
+        monkeypatch.setattr(crawler, "enforce_max_domain", counting_cap)
+        cfg = CrawlConfig(seeds=world.seed_urls, budget=600, max_domain_visits=10)
+        result = crawl(cfg, SimFetcher(world), model, keywords)
+        assert result.status == "completed"
+        assert 0 < sum(saturated) < sum(inserted)
 
 
 class TestMetrics:

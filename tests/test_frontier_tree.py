@@ -473,7 +473,29 @@ class TestUpdate:
                                      domain_saturated=saturated)
         assert selected.url == "http://open.com/b"
         assert info.n_representatives == 1
-        assert tree.frontier_size == 1  # saturated entry retained
+        assert tree.frontier_size == 0  # saturated entry dropped by the draw
+
+    def test_saturated_entry_checked_once(self):
+        # A domain cap only ever saturates more domains, so the draw that
+        # meets a saturated entry drops it instead of rechecking it later.
+        full = [entry([0.5], url=f"http://full.com/{i}") for i in range(30)]
+        tree = TreeFrontier()
+        tree.insert_frontier(full + [entry([0.5], url=f"http://open.com/{i}")
+                                     for i in range(30)])
+        checks = {}
+
+        def saturated(url):
+            checks[url] = checks.get(url, 0) + 1
+            return url.startswith("http://full.com")
+
+        rng = np.random.default_rng(14)
+        for i in range(40):
+            selected, _ = tree.update(None, [entry([0.5], url=f"http://new.com/{i}")],
+                                      "explore", None, rng, domain_saturated=saturated)
+            assert not selected.url.startswith("http://full.com")
+        counts = [checks.get(e.url, 0) for e in full]
+        assert max(counts) == 1
+        assert tree.frontier_size == 60 - sum(counts)  # 30 + 30 + 40 new - 40 taken
 
     def test_all_saturated_exhausts(self):
         tree = TreeFrontier()
@@ -580,14 +602,15 @@ class TestFlatFrontier:
             flat.select(np.random.default_rng(0), url_fetched=lambda u: True)
         assert flat.frontier_size == 0
 
-    def test_saturated_retained(self):
+    def test_saturated_dropped(self):
         flat = FlatFrontier()
         flat.insert([entry([0.0], url="http://full.com/a"),
                      entry([0.0], url="http://open.com/b")])
+        # seed 1 draws the saturated entry first; the draw drops it
         chosen = flat.select(np.random.default_rng(1),
                              domain_saturated=lambda u: u.startswith("http://full"))
         assert chosen.url == "http://open.com/b"
-        assert flat.frontier_size == 1
+        assert flat.frontier_size == 0
 
     def test_stays_one_leaf(self):
         rng = np.random.default_rng(13)

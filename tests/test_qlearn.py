@@ -270,7 +270,10 @@ class TestAgentConfig:
         ("next_action_cap", None), ("eps_decay_steps", "5"), ("eps_decay_steps", True),
         ("hidden", 5), ("hidden", "ab"), ("hidden", (64,)), ("hidden", (64, 0)),
         ("hidden", (64, 32.0)), ("hidden", (64, True)),
-        ("activation", "sigmoid"), ("activation", None)])
+        ("activation", "sigmoid"), ("activation", None),
+        # ranges of the exploration schedule
+        ("eps_start", 3.0), ("eps_start", -0.1), ("eps_end", -1.0), ("eps_end", 1.5),
+        ("eps_decay_steps", -5), ("eps_decay_steps", 0)])
     def test_field_types_checked(self, field, value):
         with pytest.raises(ValueError, match=f"agent.{field}"):
             AgentConfig(**{field: value})
@@ -279,6 +282,10 @@ class TestAgentConfig:
         cfg = AgentConfig(gamma=1, learning_rate=1, eps_start=1, eps_end=0,
                           hidden=[8, 4], eps_decay_steps=10, activation="tanh")
         assert cfg.hidden == (8, 4) and cfg.gamma == 1
+
+    def test_exploration_schedule_bounds_accepted(self):
+        cfg = AgentConfig(eps_start=0, eps_end=1.0, eps_decay_steps=1)
+        assert cfg.epsilon(0, 100) == 0.0 and cfg.epsilon(10, 100) == 1.0
 
     def test_epsilon_schedule_endpoints(self):
         cfg = AgentConfig(eps_start=1.0, eps_end=0.05)

@@ -6,28 +6,17 @@ import hashlib
 
 import pytest
 
-from treecrawl import (CrawlConfig, KeywordSet, SimFetcher, SimWorldParams, crawl,
-                       generate_sim_world, training_corpus)
+from treecrawl import CrawlConfig, SimFetcher, crawl
 from treecrawl.report import write_run
-from treecrawl.reward import PageText, train
 
 BUDGET = 600
 PINNED = {
     ("tres", None): "d24e65ae11dddd9b270de51aa89d911454f3da3ba87f64a6ea52cd52f3fc1562",
-    ("tres", 10): "d2d9eb6cfbe0ed72791528a754c77821df2359c157211645faa5dce86e8a49e9",
+    ("tres", 10): "994385e81d45b35c40983f4252bbd5b6768e183f16bec41e60a661dd5d3771f3",
     ("random", None): "64f25d9a8443cb1f3508279e1d8469dd145795c02135c5ef56bdbf7b3c9d5d81",
+    ("tree_random", 10): "b3f11a1d6f85969ff0af33226a92ee33ad6d2ad0c25bc4899adb77974fddce17",
+    ("random", 10): "4ef298ce405488f0c86302f9bf8e0519d6e9c1e3009a1242b1b7f6c21287d4f8",
 }
-
-
-@pytest.fixture(scope="module")
-def acceptance_world():
-    world = generate_sim_world(SimWorldParams(), seed=0)
-    keywords = KeywordSet(frozenset(world.keywords))
-    pages = [(PageText.from_page(r["url"], r["title"], r["text"]), r["label"])
-             for r in training_corpus(world, 150, 1500, seed=0)]
-    model = train([p for p, label in pages if label == 1],
-                  [p for p, label in pages if label == 0], keywords, seed=0)
-    return world, keywords, model
 
 
 @pytest.mark.parametrize("policy, max_domain", list(PINNED))
