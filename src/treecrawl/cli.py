@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .crawler import ConfigError, CrawlConfig, crawl
+from .crawler import POLICIES, ConfigError, CrawlConfig, crawl
 from .embeddings import (KeywordSet, expand_keywords, load_embeddings,
                          load_keywords, save_keywords, score_candidates, threshold_b)
 from .fetch import LiveFetcher, SimFetcher
@@ -159,7 +159,12 @@ def _config_from_args(args):
         config_path = args.config or os.environ.get("TREECRAWL_CONFIG")
         if config_path:
             with open(config_path, encoding="utf-8") as fh:
-                config.update(json.load(fh))
+                overrides = json.load(fh)
+            if not isinstance(overrides, dict):
+                source = "--config" if args.config else "TREECRAWL_CONFIG"
+                raise ConfigError(f"{source} file {config_path} must hold a JSON object "
+                                  f"of CrawlConfig fields, not {json.dumps(overrides)[:40]}")
+            config.update(overrides)
     inputs = {key: config.pop(key, None) for key in ("world", "model", "keywords")}
     return inputs, config
 
@@ -273,8 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-domain", type=int, default=None)
     p.add_argument("--mode", choices=("sim", "live"), default="sim")
     p.add_argument("--world", help="world JSONL (sim mode)")
-    p.add_argument("--policy", choices=("tres", "tree_random", "random", "synchronous_tres"),
-                   default="tres")
+    p.add_argument("--policy", choices=POLICIES, default="tres")
     p.add_argument("--hub-features", dest="hub_features", action="store_true", default=True)
     p.add_argument("--no-hub-features", dest="hub_features", action="store_false")
     p.add_argument("--warmup", type=int, default=50)

@@ -9,8 +9,7 @@ from dataclasses import dataclass, field, asdict, fields
 import numpy as np
 
 from .fetch import FetchFailure
-from .frontier_tree import (FlatFrontier, FrontierEntry, FrontierExhaustedError,
-                            TreeFrontier)
+from .frontier_tree import FrontierEntry, FrontierExhaustedError, TreeFrontier
 from .graph import (STATE_ACTION_DIM, STATE_ACTION_DIM_NO_HUB, CrawlGraph,
                     OutlinkCandidate, build_state_action, seed_state_action)
 from .qlearn import (AgentConfig, QNetwork, ReplayBuffer, ReplayRecord,
@@ -172,15 +171,13 @@ def crawl(config: CrawlConfig, fetcher, model, keywords) -> CrawlResult:
     # The random baseline is the tree that is never given an experience: it
     # keeps one leaf, so every draw is uniform over the whole frontier.
     learns = config.policy != "random"
-    frontier = TreeFrontier() if learns else FlatFrontier()
+    frontier = TreeFrontier()
+    cap = config.max_domain_visits
 
-    def url_fetched(url):
-        return url in graph
-
-    saturated = None
-    if config.max_domain_visits is not None:
-        def saturated(url):
-            return not enforce_max_domain(graph, url, config.max_domain_visits)
+    def dead(url):
+        # Fetch counts only grow and the cap is fixed for a crawl, so a dead
+        # entry stays dead and the frontier may drop it for good.
+        return url in graph or (cap is not None and not enforce_max_domain(graph, url, cap))
 
     # Seed bootstrap: seeds are treated as relevant and their outlinks form
     # the initial frontier, which enters the tree at step 0.
@@ -228,14 +225,13 @@ def crawl(config: CrawlConfig, fetcher, model, keywords) -> CrawlResult:
         try:
             if config.policy == "synchronous_tres":
                 entry, info = frontier.update_synchronous(
-                    pending_experience, pending_entries, online,
-                    url_fetched, saturated)
+                    pending_experience, pending_entries, online, dead)
             else:
                 greedy = (config.policy == "tres" and t >= config.warmup_steps
                           and rng_select.random() >= epsilon)
                 entry, info = frontier.update(pending_experience, pending_entries,
                                               "greedy" if greedy else "explore", online,
-                                              rng_select, url_fetched, saturated)
+                                              rng_select, dead)
         except FrontierExhaustedError:
             status = "exhausted"
             break

@@ -145,9 +145,9 @@ class UpdateInfo:
     """What one selection step did; the crawl loop's record of the step.
 
     frontier_size counts the entries stored at selection time, the chosen one
-    included. A draw drops fetched URLs and saturated domains' entries only
-    when it meets them, so the count can still hold both kinds, and a URL
-    reached by several links counts once per link.
+    included. A representative draw drops a dead entry only when it meets one,
+    so under update() the count can still hold dead entries; update_synchronous
+    drops them all first. A URL reached by several links counts once per link.
     """
     split_occurred: bool
     n_representatives: int
@@ -166,7 +166,7 @@ class TreeFrontier:
         self.root = self._new_leaf()
         self._leaves = {self.root.leaf_id: self.root}
         self.n_experience = 0
-        self.n_frontier = 0
+        self.frontier_size = 0
         self.q_evaluations = 0  # cumulative, selection-attributable only
 
     def _new_leaf(self, *experience):
@@ -177,10 +177,6 @@ class TreeFrontier:
     @property
     def leaf_count(self):
         return len(self._leaves)
-
-    @property
-    def frontier_size(self):
-        return self.n_frontier
 
     def leaves(self):
         """Leaves in creation order (ascending leaf id)."""
@@ -228,34 +224,35 @@ class TreeFrontier:
     def insert_frontier(self, entries):
         for entry in entries:
             self._route(entry.x).frontier.append(entry)
-            self.n_frontier += 1
+            self.frontier_size += 1
 
-    def _draw_from_leaf(self, leaf, rng, url_fetched, domain_saturated):
-        """Index of a uniform draw over the leaf's selectable entries, or None.
+    def _pop(self, leaf, i):
+        """Swap-remove entry i of the leaf from the frontier and return it."""
+        entries = leaf.frontier
+        entry = entries[i]
+        entries[i] = entries[-1]
+        entries.pop()
+        self.frontier_size -= 1
+        return entry
 
-        An entry met by a draw is dropped from the frontier for good when its
-        URL has entered the closure or its domain is saturated: fetch counts
-        only grow and the cap is fixed for a crawl, so neither kind could
-        ever be selected again.
-        """
+    def _draw_from_leaf(self, leaf, rng, dead):
+        """Index of a uniform draw over the leaf's live entries, or None. A
+        dead entry (dead(url) true: it can never be selected again) that the
+        draw meets leaves the frontier for good."""
         entries = leaf.frontier
         while entries:
             i = int(rng.integers(0, len(entries)))
-            url = entries[i].url
-            if not ((url_fetched is not None and url_fetched(url))
-                    or (domain_saturated is not None and domain_saturated(url))):
+            if dead is None or not dead(entries[i].url):
                 return i
-            entries[i] = entries[-1]
-            entries.pop()
-            self.n_frontier -= 1
+            self._pop(leaf, i)
         return None
 
-    def sample_representatives(self, rng, url_fetched=None, domain_saturated=None):
-        """One uniformly drawn selectable entry per leaf, as (leaf, index,
-        entry); empty leaves are skipped."""
+    def sample_representatives(self, rng, dead=None):
+        """One uniformly drawn live entry per leaf, as (leaf, index, entry);
+        empty leaves are skipped."""
         reps = []
         for leaf in self._leaves.values():
-            idx = self._draw_from_leaf(leaf, rng, url_fetched, domain_saturated)
+            idx = self._draw_from_leaf(leaf, rng, dead)
             if idx is not None:
                 reps.append((leaf, idx, leaf.frontier[idx]))
         return reps
@@ -268,22 +265,16 @@ class TreeFrontier:
 
     def _take(self, leaf, idx, split_occurred, n_representatives, q_evaluations,
               q_value):
-        """Record the step as it stands at selection, then swap-remove the
-        chosen entry from its leaf."""
+        """Record the step as it stands at selection, then remove the chosen
+        entry from its leaf."""
         info = UpdateInfo(split_occurred=split_occurred,
                           n_representatives=n_representatives,
                           q_evaluations=q_evaluations, q_value=q_value,
                           leaf_id=leaf.leaf_id, leaf_count=self.leaf_count,
-                          frontier_size=self.n_frontier)
-        entries = leaf.frontier
-        entry = entries[idx]
-        entries[idx] = entries[-1]
-        entries.pop()
-        self.n_frontier -= 1
-        return entry, info
+                          frontier_size=self.frontier_size)
+        return self._pop(leaf, idx), info
 
-    def update(self, e_new, f_new, mode, qnet, rng,
-               url_fetched=None, domain_saturated=None):
+    def update(self, e_new, f_new, mode, qnet, rng, dead=None):
         """One timestep: absorb the newest samples, then pick a frontier entry.
 
         e_new is an optional (x, reward) pair; f_new is an iterable of
@@ -293,7 +284,7 @@ class TreeFrontier:
         leaves the tree; the other representatives stay in their leaves.
         """
         split_occurred = self._absorb(e_new, f_new)
-        reps = self.sample_representatives(rng, url_fetched, domain_saturated)
+        reps = self.sample_representatives(rng, dead)
         if not reps:
             raise FrontierExhaustedError("no selectable frontier entries remain")
 
@@ -314,17 +305,16 @@ class TreeFrontier:
         leaf, idx, _ = reps[pick]
         return self._take(leaf, idx, split_occurred, len(reps), evals, q_value)
 
-    def update_synchronous(self, e_new, f_new, qnet, url_fetched=None,
-                           domain_saturated=None):
-        """Brute-force counterpart of update(): score every stored frontier
-        entry with the value network and take the argmax over the selectable
-        ones. Exists to measure the cost the representative sampling avoids."""
+    def update_synchronous(self, e_new, f_new, qnet, dead=None):
+        """Brute-force counterpart of update(): drop every dead entry, then
+        score all the rest with the value network and take the argmax. Exists
+        to measure the cost the representative sampling avoids."""
         split_occurred = self._absorb(e_new, f_new)
         refs = []
         for leaf in self._leaves.values():
-            if url_fetched is not None:
-                kept = [entry for entry in leaf.frontier if not url_fetched(entry.url)]
-                self.n_frontier -= len(leaf.frontier) - len(kept)
+            if dead is not None:
+                kept = [entry for entry in leaf.frontier if not dead(entry.url)]
+                self.frontier_size -= len(leaf.frontier) - len(kept)
                 leaf.frontier = kept
             refs.extend((leaf, i, entry) for i, entry in enumerate(leaf.frontier))
         if not refs:
@@ -332,12 +322,7 @@ class TreeFrontier:
 
         qs = qnet.forward(np.stack([entry.x for _, _, entry in refs]))
         self.q_evaluations += len(refs)
-        if domain_saturated is not None:
-            qs = np.where([domain_saturated(entry.url) for _, _, entry in refs],
-                          -np.inf, qs)
         best = int(np.argmax(qs))  # first maximum == lowest leaf id
-        if qs[best] == -np.inf:
-            raise FrontierExhaustedError("every remaining entry is domain-saturated")
         leaf, idx, _ = refs[best]
         return self._take(leaf, idx, split_occurred, len(refs), len(refs),
                           float(qs[best]))
@@ -356,16 +341,13 @@ class TreeFrontier:
 
 
 class FlatFrontier(TreeFrontier):
-    """The uniform-random baseline: a tree that is never given an experience
-    keeps its single leaf, so an explore draw from it is uniform over the
-    frontier, under a leaf's one drop rule (_draw_from_leaf). insert and
-    select are a flat pool's two calls; the crawl benchmark's tracer patches
-    both by name."""
+    """A flat pool's insert and select on a tree never given an experience, so
+    select is a uniform draw over its single leaf. crawl() does not build it;
+    it is kept only because the crawl benchmark's tracer patches both names."""
 
     def insert(self, entries):
         self.insert_frontier(entries)
 
-    def select(self, rng, url_fetched=None, domain_saturated=None) -> FrontierEntry:
-        entry, _ = self.update(None, (), "explore", None, rng, url_fetched,
-                               domain_saturated)
+    def select(self, rng, dead=None) -> FrontierEntry:
+        entry, _ = self.update(None, (), "explore", None, rng, dead)
         return entry

@@ -24,9 +24,9 @@ def _normalize_percent(s):
     n = len(s)
     while i < n:
         ch = s[i]
-        if ch == "%" and i + 2 < n + 1 and i + 3 <= n:
+        if ch == "%" and i + 3 <= n:
             hex_part = s[i + 1:i + 3]
-            if len(hex_part) == 2 and all(c in "0123456789abcdefABCDEF" for c in hex_part):
+            if all(c in "0123456789abcdefABCDEF" for c in hex_part):
                 decoded = chr(int(hex_part, 16))
                 if decoded in _UNRESERVED:
                     out.append(decoded)

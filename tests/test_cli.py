@@ -180,6 +180,25 @@ class TestCrawlCommand:
         assert rc == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("route", ["--config", "TREECRAWL_CONFIG"])
+    @pytest.mark.parametrize("text", ["[1]", "5", "null", '"x"'])
+    def test_config_file_must_hold_an_object(self, pipeline, tmp_path, monkeypatch,
+                                             capsys, route, text):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        extra = ("--config", str(cfg_path)) if route == "--config" else ()
+        if route == "TREECRAWL_CONFIG":
+            monkeypatch.setenv("TREECRAWL_CONFIG", str(cfg_path))
+        out = tmp_path / "runs"
+        capsys.readouterr()
+        rc = run_cli("crawl", "--mode", "sim", "--world", pipeline["world"],
+                     "--model", pipeline["model"], "--budget", "5", *extra,
+                     "--out", str(out))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert route in err and "JSON object of CrawlConfig fields" in err
+        assert not out.exists()
+
     def test_agent_config_reaches_crawl_and_replays(self, pipeline, tmp_path):
         common = ("crawl", "--mode", "sim", "--world", pipeline["world"],
                   "--model", pipeline["model"], "--budget", "30",

@@ -361,7 +361,7 @@ class TestRepresentatives:
         assert len(leaves) >= 5
         for leaf in leaves[:3]:
             leaf.frontier.append(entry(leaf.exp_x[0], url=f"http://x.com/{leaf.leaf_id}"))
-            tree.n_frontier += 1
+            tree.frontier_size += 1
         reps = tree.sample_representatives(np.random.default_rng(8))
         assert len(reps) == 3
 
@@ -458,7 +458,7 @@ class TestUpdate:
         tree.insert_frontier([dead, live])
         selected, info = tree.update(None, [], "explore", None,
                                      np.random.default_rng(3),
-                                     url_fetched=lambda u: u == "http://x.com/dead")
+                                     dead=lambda u: u == "http://x.com/dead")
         assert selected is live
         assert info.n_representatives == 1
         assert tree.frontier_size == 0  # dead purged, live removed by selection
@@ -470,7 +470,7 @@ class TestUpdate:
         saturated = lambda url: url.startswith("http://full.com")
         selected, info = tree.update(None, [], "explore", None,
                                      np.random.default_rng(4),
-                                     domain_saturated=saturated)
+                                     dead=saturated)
         assert selected.url == "http://open.com/b"
         assert info.n_representatives == 1
         assert tree.frontier_size == 0  # saturated entry dropped by the draw
@@ -491,7 +491,7 @@ class TestUpdate:
         rng = np.random.default_rng(14)
         for i in range(40):
             selected, _ = tree.update(None, [entry([0.5], url=f"http://new.com/{i}")],
-                                      "explore", None, rng, domain_saturated=saturated)
+                                      "explore", None, rng, dead=saturated)
             assert not selected.url.startswith("http://full.com")
         counts = [checks.get(e.url, 0) for e in full]
         assert max(counts) == 1
@@ -502,7 +502,7 @@ class TestUpdate:
         tree.insert_frontier([entry([0.5], url="http://full.com/a")])
         with pytest.raises(FrontierExhaustedError):
             tree.update(None, [], "explore", None, np.random.default_rng(5),
-                        domain_saturated=lambda u: True)
+                        dead=lambda u: True)
 
     def test_update_counts_at_most_one_split(self):
         rng = np.random.default_rng(7)
@@ -547,7 +547,7 @@ class TestSynchronous:
             for leaf in tree.leaves():
                 x = leaf.exp_x[0].copy()
                 leaf.frontier.append(entry(x, url=f"http://x.com/{leaf.leaf_id}"))
-                tree.n_frontier += 1
+                tree.frontier_size += 1
             return tree
 
         rng2 = np.random.default_rng(10)
@@ -558,6 +558,28 @@ class TestSynchronous:
         picked_a, _ = tree_a.update(None, [], "greedy", qnet, np.random.default_rng(11))
         picked_b, _ = tree_b.update_synchronous(None, [], qnet)
         assert picked_a.url == picked_b.url
+
+    def test_saturated_entries_dropped_for_good(self):
+        tree = TreeFrontier()
+        full = [entry([0.9], url=f"http://full.com/{i}") for i in range(5)]
+        open_ = [entry([0.1 * i], url=f"http://open.com/{i}") for i in range(4)]
+        tree.insert_frontier(full + open_)
+        saturated = lambda url: url.startswith("http://full.com")
+        qnet = _UrlQ(lambda row: float(row[0]))
+        selected, info = tree.update_synchronous(None, [], qnet, dead=saturated)
+        assert selected.url == "http://open.com/3"  # full.com scores higher
+        assert info.frontier_size == 4  # the five saturated entries are gone
+        assert info.q_evaluations == info.frontier_size
+        assert tree.frontier_size == 3
+        assert all(e.url.startswith("http://open.com") for e in tree.root.frontier)
+
+    def test_all_saturated_exhausts(self):
+        tree = TreeFrontier()
+        tree.insert_frontier([entry([0.5], url=f"http://full.com/{i}") for i in range(3)])
+        with pytest.raises(FrontierExhaustedError):
+            tree.update_synchronous(None, [], _UrlQ(lambda row: 0.0),
+                                    dead=lambda u: True)
+        assert tree.frontier_size == 0
 
 
 class TestDeterminism:
@@ -599,7 +621,7 @@ class TestFlatFrontier:
         flat = FlatFrontier()
         flat.insert([entry([0.0], url="http://x.com/dead")])
         with pytest.raises(FrontierExhaustedError):
-            flat.select(np.random.default_rng(0), url_fetched=lambda u: True)
+            flat.select(np.random.default_rng(0), dead=lambda u: True)
         assert flat.frontier_size == 0
 
     def test_saturated_dropped(self):
@@ -608,7 +630,7 @@ class TestFlatFrontier:
                      entry([0.0], url="http://open.com/b")])
         # seed 1 draws the saturated entry first; the draw drops it
         chosen = flat.select(np.random.default_rng(1),
-                             domain_saturated=lambda u: u.startswith("http://full"))
+                             dead=lambda u: u.startswith("http://full"))
         assert chosen.url == "http://open.com/b"
         assert flat.frontier_size == 0
 

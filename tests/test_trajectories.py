@@ -16,6 +16,8 @@ PINNED = {
     ("random", None): "64f25d9a8443cb1f3508279e1d8469dd145795c02135c5ef56bdbf7b3c9d5d81",
     ("tree_random", 10): "b3f11a1d6f85969ff0af33226a92ee33ad6d2ad0c25bc4899adb77974fddce17",
     ("random", 10): "4ef298ce405488f0c86302f9bf8e0519d6e9c1e3009a1242b1b7f6c21287d4f8",
+    ("synchronous_tres", None): "0bbf0a733379878289f5795d56cceae925dc09a3f5c225681c711d73cfa29047",
+    ("synchronous_tres", 2): "d01c78c35737fde5b5e6f27e1c14f85f1d4bb9c4cf6267bce1945a17b88cdea0",
 }
 
 

@@ -22,6 +22,12 @@ class TestNormalize:
         assert normalize_url("http://a.com/%7euser") == "http://a.com/~user"
         assert normalize_url("http://a.com/a%2fb") == "http://a.com/a%2Fb"
 
+    def test_truncated_or_invalid_escape_kept(self):
+        assert normalize_url("http://a.com/a%") == "http://a.com/a%"
+        assert normalize_url("http://a.com/a%4") == "http://a.com/a%4"
+        assert normalize_url("http://a.com/%zz") == "http://a.com/%zz"
+        assert normalize_url("http://a.com/p?q=%4") == "http://a.com/p?q=%4"
+
     def test_query_kept_fragment_dropped(self):
         assert normalize_url("http://a.com/p?q=1&r=2#top") == "http://a.com/p?q=1&r=2"
 
