@@ -8,8 +8,8 @@ from .embeddings import (EmbeddingTable, KeywordSet, cosine, expand_keywords,
 from .reward import (PageText, RelevanceModel, keyword_count, keyword_vector,
                      relevance_probability, reward, train)
 from .graph import (CrawlGraph, OutlinkCandidate, build_state_action,
-                    seed_state_action)
-from .qlearn import (AgentConfig, QNetwork, ReplayBuffer, ReplayRecord,
+                    build_state_actions, seed_state_action)
+from .qlearn import (AgentConfig, QNetwork, ReplayBatch, ReplayBuffer, ReplayRecord,
                      ddqn_target, seed_replay, sync_target, train_step)
 from .frontier_tree import (FlatFrontier, FrontierEntry, FrontierExhaustedError,
                             TreeFrontier, best_split)

@@ -134,7 +134,11 @@ def _config_from_args(args):
             raise ConfigError("--from-manifest replays the manifest's config and takes "
                               f"no other crawl flag but --out; got {', '.join(given)}")
         with open(args.from_manifest, encoding="utf-8") as fh:
-            config = json.load(fh)["config"]
+            manifest = json.load(fh)
+        config = manifest.get("config") if isinstance(manifest, dict) else None
+        if not isinstance(config, dict):
+            raise ConfigError(f"--from-manifest file {args.from_manifest} must hold a "
+                              "manifest object with a \"config\" object")
     else:
         seeds = []
         if args.seeds:

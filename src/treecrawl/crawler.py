@@ -10,8 +10,11 @@ import numpy as np
 
 from .fetch import FetchFailure
 from .frontier_tree import FrontierEntry, FrontierExhaustedError, TreeFrontier
+# crawl() does not call build_state_action; it is imported only because the
+# crawl benchmark's tracer patches crawler.build_state_action.
 from .graph import (STATE_ACTION_DIM, STATE_ACTION_DIM_NO_HUB, CrawlGraph,
-                    OutlinkCandidate, build_state_action, seed_state_action)
+                    OutlinkCandidate, build_state_action, build_state_actions,
+                    seed_state_action)
 from .qlearn import (AgentConfig, QNetwork, ReplayBuffer, ReplayRecord,
                      seed_replay, sync_target, train_step)
 from .reward import PageText, reward as reward_of
@@ -127,16 +130,21 @@ def metrics(result: CrawlResult):
     return hr, relevant, unique
 
 
+class PageEntries(list):
+    """A fetched page's new frontier entries; `x` is the (k, d) feature block
+    whose rows the entries hold, in the same order."""
+
+    def __init__(self, entries, x):
+        super().__init__(entries)
+        self.x = x
+
+
 def _outlink_entries(graph, source_url, page, model, keywords, hub):
-    entries = []
-    for target, anchor in page.outlinks:
-        if target in graph:
-            continue
-        candidate = OutlinkCandidate(url=target, anchor=anchor)
-        x = build_state_action(graph, source_url, candidate, model, keywords,
-                               hub_features=hub)
-        entries.append(FrontierEntry(x=x, url=target, parent=source_url))
-    return entries
+    candidates = [OutlinkCandidate(url=target, anchor=anchor)
+                  for target, anchor in page.outlinks if target not in graph]
+    x = build_state_actions(graph, source_url, candidates, model, keywords, hub)
+    return PageEntries([FrontierEntry(x=row, url=c.url, parent=source_url)
+                        for c, row in zip(candidates, x)], x)
 
 
 def crawl(config: CrawlConfig, fetcher, model, keywords) -> CrawlResult:
@@ -255,7 +263,7 @@ def crawl(config: CrawlConfig, fetcher, model, keywords) -> CrawlResult:
 
         if uses_q:
             if new_entries:
-                nxt = np.stack([e.x for e in new_entries])
+                nxt = new_entries.x
                 if nxt.shape[0] > agent.next_action_cap:
                     keep = np.sort(rng_train.choice(
                         nxt.shape[0], size=agent.next_action_cap, replace=False))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .reward import PageText, relevance_probability, keyword_count, keyword_in_url
+from .reward import count_vector, keyword_count, keyword_in_url
 from .text import tokenize
 from .urls import domain_of
 
@@ -133,33 +133,47 @@ class CrawlGraph:
         return sum(n.reward for n in self.nodes.values()) / len(self.nodes)
 
 
-def _action_features(candidate: OutlinkCandidate, model, keywords) -> np.ndarray:
-    a1 = 1.0 if keyword_in_url(candidate.url, keywords) else 0.0
-    a2 = 1.0 if keyword_count(tokenize(candidate.anchor), keywords) > 0 else 0.0
-    # Relevance is estimated from the candidate's short text: its title when
-    # known, otherwise the anchor text that referenced it.
-    short_text = candidate.title or candidate.anchor
-    a3 = relevance_probability(model, PageText.title_only(candidate.url, short_text), keywords)
-    return np.array([a1, a2, a3], dtype=np.float64)
+def build_state_actions(graph: CrawlGraph, parent, candidates, model, keywords,
+                        hub_features=True) -> np.ndarray:
+    """(k, d) block of (state, action[, hub]) rows, one per candidate found on
+    `parent`'s page; a parent of None gives the empty graph's zero state.
+
+    a1 flags a keyword in the URL and a2 one in the anchor text. a3 estimates
+    relevance from the candidate's short text, its title when known and
+    otherwise the anchor: it is the model's probability of the keyword vector
+    of a page holding just that text.
+    """
+    rows = []
+    for candidate in candidates:
+        in_url = keyword_in_url(candidate.url, keywords)
+        anchor = tokenize(candidate.anchor)
+        count = keyword_count(anchor, keywords)
+        a2 = 1.0 if count > 0 else 0.0
+        short = anchor
+        if candidate.title:
+            short = tokenize(candidate.title)
+            count = keyword_count(short, keywords)
+        a3 = model.probability(count_vector(count, len(short), in_url, model.mu))
+        row = (1.0 if in_url else 0.0, a2, a3)
+        if hub_features:
+            row += graph.hub_features(candidate.url)
+        rows.append(row)
+    X = np.empty((len(rows), STATE_ACTION_DIM if hub_features else STATE_ACTION_DIM_NO_HUB))
+    X[:, :3] = 0.0 if parent is None else graph.state_features(parent)
+    if rows:
+        X[:, 3:] = rows
+    return X
 
 
 def build_state_action(graph: CrawlGraph, parent, candidate: OutlinkCandidate,
                        model, keywords, hub_features=True) -> np.ndarray:
     """Concatenated (state, action[, hub]) vector for one frontier candidate."""
-    state = graph.state_features(parent)
-    action = _action_features(candidate, model, keywords)
-    if not hub_features:
-        return np.concatenate([state, action])
-    h1, h2 = graph.hub_features(candidate.url)
-    return np.concatenate([state, action, [h1, h2]])
+    return build_state_actions(graph, parent, [candidate], model, keywords, hub_features)[0]
 
 
 def seed_state_action(candidate: OutlinkCandidate, model, keywords,
                       hub_features=True) -> np.ndarray:
     """Bootstrap vector for selecting a seed from the empty graph: zero state
     features, action features for the seed itself, unknown-domain hub features."""
-    state = np.zeros(3, dtype=np.float64)
-    action = _action_features(candidate, model, keywords)
-    if not hub_features:
-        return np.concatenate([state, action])
-    return np.concatenate([state, action, [0.0, 0.5]])
+    return build_state_actions(CrawlGraph(), None, [candidate], model, keywords,
+                               hub_features)[0]

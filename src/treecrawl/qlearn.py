@@ -159,7 +159,7 @@ class QNetwork:
         for name in self.PARAM_NAMES:
             param = getattr(self, name)
             param -= learning_rate * grads[name]
-            if not np.all(np.isfinite(param)):
+            if not np.isfinite(param).all():
                 raise TrainingDivergenceError(f"{name} became non-finite")
 
     def copy_from(self, other: "QNetwork"):
@@ -189,31 +189,119 @@ class ReplayRecord:
     next_vectors: np.ndarray  # (k, d); k may be 0 when no follow-up actions exist
 
 
+@dataclass
+class ReplayBatch:
+    """Replay records gathered as arrays: row i of `x` and `rewards` is record
+    i, and its sizes[i] follow-up rows come next in `next_vectors`, after those
+    of records 0..i-1."""
+
+    x: np.ndarray             # (b, d)
+    rewards: np.ndarray       # (b,)
+    next_vectors: np.ndarray  # (sizes.sum(), d)
+    sizes: np.ndarray         # (b,) int
+
+
 class ReplayBuffer:
-    """FIFO ring of replay records with uniform sampling."""
+    """FIFO ring of replay records with uniform sampling, held in arrays.
+
+    Slot i keeps its x in row i of one matrix, its reward in a vector, and its
+    follow-up rows at next[start[i] : start[i] + size[i]] of one flat store
+    that records are appended to. Rows of overwritten slots stay behind until
+    they outnumber the live ones; the store is then compacted, so its used
+    part never exceeds twice the live follow-up rows.
+    """
 
     def __init__(self, capacity):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = int(capacity)
-        self._records = []
+        self._n = 0
         self._cursor = 0
+        self._x = None
+        self._rewards = np.empty(0)
+        self._start = np.empty(0, dtype=np.int64)
+        self._size = np.empty(0, dtype=np.int64)
+        self._next = None
+        self._used = 0  # rows of self._next in use, live or stale
+        self._live = 0  # rows that live slots point at
 
     def __len__(self):
-        return len(self._records)
+        return self._n
 
     def add(self, record: ReplayRecord):
-        if len(self._records) < self.capacity:
-            self._records.append(record)
+        x = np.asarray(record.x, dtype=np.float64)
+        nxt = np.asarray(record.next_vectors, dtype=np.float64)
+        d = x.size if self._x is None else self._x.shape[1]  # the first add fixes d
+        # Row assignment would broadcast a length-1 vector; refuse it instead.
+        if x.shape != (d,) or nxt.ndim != 2 or nxt.shape[1] != d:
+            raise DimensionMismatchError(
+                f"expected x of shape ({d},) and follow-ups of shape (k, {d}), "
+                f"got {x.shape} and {nxt.shape}")
+        if self._x is None:
+            self._x = np.empty((0, d))
+            self._next = np.empty((0, d))
+        if self._n < self.capacity:
+            slot = self._n
+            self._n += 1
+            if slot == self._x.shape[0]:
+                grown = min(self.capacity, max(16, 2 * slot))
+                self._x = _grow(self._x, grown)
+                self._rewards = _grow(self._rewards, grown)
+                self._start = _grow(self._start, grown)
+                self._size = _grow(self._size, grown)
         else:
-            self._records[self._cursor] = record
+            slot = self._cursor
             self._cursor = (self._cursor + 1) % self.capacity
+            self._live -= int(self._size[slot])
+        k = nxt.shape[0]
+        if self._used + k > self._next.shape[0]:
+            self._next = _grow(self._next, max(16, 2 * (self._used + k)))
+        self._next[self._used:self._used + k] = nxt
+        self._x[slot] = x
+        self._rewards[slot] = record.reward
+        self._start[slot] = self._used
+        self._size[slot] = k
+        self._used += k
+        self._live += k
+        if self._used > 2 * self._live:
+            self._compact()
 
-    def sample(self, rng, k):
-        if not self._records:
+    def _compact(self):
+        """Move the live follow-up rows to the front of the store, slot by slot.
+        Only an overwrite leaves stale rows, so every slot is live here."""
+        starts, sizes = self._start[:self._n], self._size[:self._n]
+        self._next[:self._live] = self._next[_segment_rows(starts, sizes)]
+        starts[:] = np.cumsum(sizes) - sizes
+        self._used = self._live
+
+    def gather(self, slots) -> ReplayBatch:
+        """The records in the given slots, in that order; slot i is the i-th
+        record added, until the ring wraps."""
+        # take() copies the same rows as fancy indexing, several times faster;
+        # on the [:n] views it raises IndexError for a slot never filled.
+        n = self._n
+        slots = np.asarray(slots, dtype=np.int64)
+        sizes = self._size[:n].take(slots)
+        rows = _segment_rows(self._start[:n].take(slots), sizes)
+        return ReplayBatch(x=self._x[:n].take(slots, axis=0), rewards=self._rewards[:n].take(slots),
+                           next_vectors=self._next.take(rows, axis=0), sizes=sizes)
+
+    def sample(self, rng, k) -> ReplayBatch:
+        if not self._n:
             raise ValueError("cannot sample from an empty buffer")
-        idx = rng.integers(0, len(self._records), size=k)
-        return [self._records[i] for i in idx]
+        return self.gather(rng.integers(0, self._n, size=k))
+
+
+def _grow(arr, rows):
+    out = np.empty((rows,) + arr.shape[1:], dtype=arr.dtype)
+    out[:arr.shape[0]] = arr
+    return out
+
+
+def _segment_rows(starts, sizes):
+    """Concatenated row indices starts[i] .. starts[i] + sizes[i] - 1."""
+    ends = np.cumsum(sizes)
+    return np.repeat(starts - ends + sizes, sizes) + np.arange(ends[-1] if len(ends) else 0)
 
 
 def seed_replay(buffer: ReplayBuffer, seed_vectors):
@@ -237,37 +325,37 @@ def ddqn_target(record: ReplayRecord, online: QNetwork, target: QNetwork, gamma:
     return float(record.reward) + gamma * float(target.forward(nxt[best]))
 
 
-def batch_targets(records, online: QNetwork, target: QNetwork, gamma: float) -> np.ndarray:
+def batch_targets(batch: ReplayBatch, online: QNetwork, target: QNetwork,
+                  gamma: float) -> np.ndarray:
     """Vectorized targets: one online pass over all follow-up vectors, one
     target pass over the per-record argmax rows."""
-    ys = np.array([r.reward for r in records], dtype=np.float64)
-    sizes = np.array([r.next_vectors.shape[0] for r in records])
-    if sizes.sum() == 0:
+    ys = batch.rewards.copy()
+    stacked = batch.next_vectors
+    if stacked.shape[0] == 0:
         return ys
-    stacked = np.concatenate([r.next_vectors for r in records if r.next_vectors.shape[0] > 0])
+    sizes = batch.sizes
     online_q = online.forward(stacked)
-    # Each record's values in its own row, padded with -inf; argmax takes the
-    # first maximum, as for each record's segment alone.
-    starts = np.cumsum(sizes) - sizes
-    rows = np.repeat(np.arange(len(records)), sizes)
-    padded = np.full((len(records), sizes.max()), -np.inf)
-    padded[rows, np.arange(len(stacked)) - starts[rows]] = online_q
+    # Each record's values in its own row, padded with -inf; a boolean mask
+    # fills the rows in order, and argmax takes the first maximum, as for each
+    # record's segment alone.
+    filled = np.arange(sizes.max()) < sizes[:, None]
+    padded = np.full(filled.shape, -np.inf)
+    padded[filled] = online_q
     has_next = sizes > 0
-    chosen = (starts + padded.argmax(axis=1))[has_next]
-    ys[has_next] += gamma * target.forward(stacked[chosen])
+    chosen = (np.cumsum(sizes) - sizes + padded.argmax(axis=1))[has_next]
+    ys[has_next] += gamma * target.forward(stacked.take(chosen, axis=0))
     return ys
 
 
-def train_step(online: QNetwork, target: QNetwork, batch, cfg: AgentConfig) -> float:
+def train_step(online: QNetwork, target: QNetwork, batch: ReplayBatch, cfg: AgentConfig) -> float:
     """One descent step on the squared error against fixed double-Q targets.
 
     Returns the pre-step loss.
     """
-    if not batch:
+    if batch.x.shape[0] == 0:
         raise ValueError("batch must be non-empty")
     targets = batch_targets(batch, online, target, cfg.gamma)
-    X = np.stack([r.x for r in batch])
-    loss, grads = online.loss_and_gradients(X, targets)
+    loss, grads = online.loss_and_gradients(batch.x, targets)
     if not np.isfinite(loss):
         raise TrainingDivergenceError(f"non-finite loss {loss}")
     online.apply_gradients(grads, cfg.learning_rate)

@@ -121,6 +121,18 @@ class TestCrawlCommand:
         assert "TREECRAWL_CONFIG" in capsys.readouterr().err
         assert not out2.exists()
 
+    @pytest.mark.parametrize("text", ["[1]", '{"config": [1]}', "{}"])
+    def test_manifest_must_hold_a_config_object(self, tmp_path, capsys, text):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(text)
+        out = tmp_path / "runs"
+        capsys.readouterr()
+        rc = run_cli("crawl", "--from-manifest", str(manifest), "--out", str(out))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(manifest) in err and 'manifest object with a "config" object' in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("agent, field", [({"batch_size": "32"}, "batch_size"),
                                               ({"hidden": 5}, "hidden"),
                                               ({"gamma": True}, "gamma"),

@@ -5,8 +5,10 @@ import pytest
 
 from treecrawl.embeddings import KeywordSet
 from treecrawl.graph import (ClosureViolationError, CrawlGraph, GraphIntegrityError,
-                             OutlinkCandidate, build_state_action, seed_state_action)
+                             OutlinkCandidate, build_state_action, build_state_actions,
+                             seed_state_action)
 from treecrawl.reward import RelevanceModel
+from treecrawl.text import tokenize
 from treecrawl.urls import domain_of
 
 
@@ -199,6 +201,95 @@ class TestStateAction:
         assert x.shape == (6,)
         seed_x = seed_state_action(candidate, stub_model(0.3), kws, hub_features=False)
         assert seed_x.shape == (6,)
+
+
+def oracle_state_action(graph, parent, candidate, model, keywords, hub_features=True):
+    """The per-candidate path that build_state_actions replaced, kept as its
+    reference: action features for one candidate, concatenated to the state
+    and hub features. The keyword helpers are written out as they were, so
+    the reference shares no feature code with the block builder."""
+    kws = keywords.combined
+    low = candidate.url.lower()
+    a1 = 1.0 if any(k in low for k in kws) else 0.0
+    a2 = 1.0 if sum(1 for t in tokenize(candidate.anchor) if t in kws) > 0 else 0.0
+    short = tokenize(candidate.title or candidate.anchor)
+    count = sum(1 for t in short if t in kws)
+    kv = np.array([min(count / model.mu, 1.0), count / len(short) if short else 0.0, a1],
+                  dtype=np.float64)
+    action = np.array([a1, a2, model.probability(kv)], dtype=np.float64)
+    if parent is None:  # seed bootstrap: zero state, unknown-domain hub features
+        state, hub = np.zeros(3, dtype=np.float64), [0.0, 0.5]
+    else:
+        state, hub = graph.state_features(parent), list(graph.hub_features(candidate.url))
+    return np.concatenate([state, action, hub] if hub_features else [state, action])
+
+
+class TestStateActionBlock:
+    """build_state_actions must equal the per-candidate reference bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def world_graph(self, acceptance_world):
+        # The seed's subtree has finite distances to a relevant node; a second,
+        # irrelevant root and its irrelevant child have infinite ones.
+        world, keywords, model = acceptance_world
+        g = CrawlGraph()
+        seed = world.seed_urls[0]
+        g.register_fetch(None, seed, 1)
+        children = [url for url, _ in world.pages[seed].outlinks[:6]]
+        for url in children:
+            g.register_fetch(seed, url, int(world.pages[url].relevant))
+        root = next(url for url in world.order
+                    if url not in g and not world.pages[url].relevant
+                    and any(t not in g and not world.pages[t].relevant
+                            for t, _ in world.pages[url].outlinks))
+        g.register_fetch(None, root, 0)
+        child = next(t for t, _ in world.pages[root].outlinks
+                     if t not in g and not world.pages[t].relevant)
+        g.register_fetch(root, child, 0)
+        parents = [seed, *children[:3], root, child]
+        return world, keywords, model, g, parents
+
+    def candidates(self, world, parent, with_titles):
+        out = []
+        for i, (target, anchor) in enumerate(world.pages[parent].outlinks):
+            title = world.pages[target].title if with_titles else ""
+            if i % 4 == 3:  # a keyword in the URL path sets a1
+                target += "/" + sorted(world.keywords)[i % len(world.keywords)]
+            out.append(OutlinkCandidate(url=target, anchor=anchor, title=title))
+        return out
+
+    @pytest.mark.parametrize("hub", [True, False])
+    @pytest.mark.parametrize("with_titles", [False, True])
+    def test_world_outlinks_match_reference(self, world_graph, hub, with_titles):
+        world, keywords, model, g, parents = world_graph
+        dists, known, a1 = set(), set(), set()
+        for parent in parents:
+            cands = self.candidates(world, parent, with_titles)
+            block = build_state_actions(g, parent, cands, model, keywords, hub)
+            oracle = np.stack([oracle_state_action(g, parent, c, model, keywords, hub)
+                               for c in cands])
+            assert block.shape == oracle.shape
+            assert np.array_equal(block, oracle)
+            dists.add(math.isinf(g.nodes[parent].dist_to_relevant))
+            known.update(g.hub_features(c.url)[1] == 1.0 for c in cands)
+            a1.update(block[:, 3])
+        # The inputs cover both kinds of parent, of candidate domain and of URL.
+        assert dists == {True, False} and known == {True, False} and a1 == {0.0, 1.0}
+
+    @pytest.mark.parametrize("hub", [True, False])
+    def test_seed_rows_match_reference(self, world_graph, hub):
+        world, keywords, model, _, _ = world_graph
+        seeds = [OutlinkCandidate(url=url, title=world.pages[url].title)
+                 for url in world.order[:20]]
+        block = build_state_actions(CrawlGraph(), None, seeds, model, keywords, hub)
+        for row, seed in zip(block, seeds):
+            oracle = oracle_state_action(None, None, seed, model, keywords, hub)
+            assert np.array_equal(row, oracle)
+            assert np.array_equal(seed_state_action(seed, model, keywords, hub), oracle)
+
+    def test_no_candidates_gives_empty_block(self, world_graph):
+        world, keywords, model, g, parents = world_graph
+        assert build_state_actions(g, parents[0], [], model, keywords).shape == (0, 8)
 
 
 class TestInvariants:

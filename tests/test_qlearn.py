@@ -15,6 +15,21 @@ def zero_net(dim=8, hidden=(5, 5)):
     return net
 
 
+def batch_of(records):
+    """The records as one replay batch, in order."""
+    buf = ReplayBuffer(capacity=len(records))
+    for record in records:
+        buf.add(record)
+    return buf.gather(np.arange(len(records)))
+
+
+def records_of(batch):
+    """Split a replay batch back into one record per row."""
+    nexts = np.split(batch.next_vectors, np.cumsum(batch.sizes)[:-1])
+    return [ReplayRecord(x=x, reward=float(r), next_vectors=n)
+            for x, r, n in zip(batch.x, batch.rewards, nexts)]
+
+
 def mse(net, X, y):
     q = net.forward(X)
     return float(np.mean((q - y) ** 2))
@@ -147,13 +162,18 @@ class TestDdqnTarget:
         online = QNetwork(5, hidden=(4, 4), rng=rng)
         target = QNetwork(5, hidden=(4, 4), rng=rng)
         records = []
+        buf = ReplayBuffer(capacity=20)
         for _ in range(20):
             k = int(rng.integers(0, 6))
             records.append(ReplayRecord(x=rng.normal(size=5),
                                         reward=float(rng.integers(0, 2)),
                                         next_vectors=rng.normal(size=(k, 5))))
-        batched = batch_targets(records, online, target, gamma=0.9)
-        singles = [ddqn_target(r, online, target, 0.9) for r in records]
+            buf.add(records[-1])
+        # A sampled batch repeats and reorders records, as in training.
+        idx = np.random.default_rng(3).integers(0, 20, size=40)
+        batch = buf.sample(np.random.default_rng(3), 40)
+        batched = batch_targets(batch, online, target, gamma=0.9)
+        singles = [ddqn_target(records[i], online, target, 0.9) for i in idx]
         assert np.allclose(batched, singles, atol=1e-12)
 
 
@@ -164,7 +184,7 @@ class TestTrainStep:
         records = [ReplayRecord(x=np.ones(4) * i, reward=0.0,
                                 next_vectors=np.empty((0, 4))) for i in range(4)]
         before = {n: getattr(net, n).copy() for n in net.PARAM_NAMES}
-        loss = train_step(net, target, records, AgentConfig(learning_rate=0.1))
+        loss = train_step(net, target, batch_of(records), AgentConfig(learning_rate=0.1))
         assert loss == 0.0
         for n in net.PARAM_NAMES:
             assert np.array_equal(before[n], getattr(net, n))
@@ -176,7 +196,7 @@ class TestTrainStep:
         record = ReplayRecord(x=rng.normal(size=4), reward=1.0,
                               next_vectors=np.empty((0, 4)))
         cfg = AgentConfig(learning_rate=1e-3, gamma=0.9)
-        before = train_step(net, target, [record], cfg)
+        before = train_step(net, target, batch_of([record]), cfg)
         after = mse(net, record.x[None, :], np.array([1.0]))
         assert after < before
 
@@ -189,9 +209,10 @@ class TestTrainStep:
         records = [ReplayRecord(x=X[i], reward=float(rewards[i]),
                                 next_vectors=np.empty((0, 8))) for i in range(16)]
         cfg = AgentConfig(gamma=0.0, learning_rate=0.01)
+        batch = batch_of(records)
         loss = np.inf
         for _ in range(10_000):
-            loss = train_step(net, target, records, cfg)
+            loss = train_step(net, target, batch, cfg)
             if loss < 1e-3:
                 break
         assert loss < 1e-3
@@ -217,7 +238,7 @@ class TestReplay:
             buf.add(ReplayRecord(x=np.array([float(i)]), reward=0.0,
                                  next_vectors=np.empty((0, 1))))
         assert len(buf) == 3
-        kept = sorted(float(r.x[0]) for r in buf._records)
+        kept = sorted(float(x[0]) for x in buf.gather(np.arange(len(buf))).x)
         assert kept == [2.0, 3.0, 4.0]
 
     def test_sampling_uniform_chi_square(self):
@@ -227,8 +248,8 @@ class TestReplay:
                                  next_vectors=np.empty((0, 1))))
         rng = np.random.default_rng(10)
         counts = np.zeros(10)
-        for record in buf.sample(rng, 100_000):
-            counts[int(record.x[0])] += 1
+        for x in buf.sample(rng, 100_000).x:
+            counts[int(x[0])] += 1
         assert stats.chisquare(counts).pvalue > 0.001
 
     def test_seed_replay(self):
@@ -237,10 +258,62 @@ class TestReplay:
         seed_replay(buf, vecs)
         assert len(buf) == 3
         net = zero_net(8, (3, 3))
-        for record in buf._records:
+        for record in records_of(buf.gather(np.arange(len(buf)))):
             assert record.reward == 1.0
             assert record.next_vectors.shape == (0, 8)
             assert ddqn_target(record, net, net, gamma=0.9) == 1.0
+
+    def test_fifo_wraps_match_record_list(self):
+        # Records of 0 to 300 follow-ups through many wraps of a 3-slot ring:
+        # every slot gathers exactly what a list of records would hold there.
+        rng = np.random.default_rng(11)
+        buf = ReplayBuffer(capacity=3)
+        ref, cursor = [], 0
+        for step in range(60):
+            k = int(rng.choice([0, 0, 1, 5, 40, 300]))
+            record = ReplayRecord(x=rng.normal(size=4), reward=float(step),
+                                  next_vectors=rng.normal(size=(k, 4)))
+            buf.add(record)
+            if len(ref) < 3:
+                ref.append(record)
+            else:
+                ref[cursor] = record
+                cursor = (cursor + 1) % 3
+            assert len(buf) == len(ref)
+            batch = buf.gather(np.arange(len(ref)))
+            assert batch.sizes.tolist() == [r.next_vectors.shape[0] for r in ref]
+            for got, want in zip(records_of(batch), ref):
+                assert got.x.tobytes() == want.x.tobytes()
+                assert got.reward == want.reward
+                assert got.next_vectors.shape == want.next_vectors.shape
+                assert got.next_vectors.tobytes() == want.next_vectors.tobytes()
+            # The stated bound: stale rows never outnumber the live ones.
+            live = int(batch.sizes.sum())
+            assert buf._used <= 2 * live
+
+    def test_sample_draws_slots_like_integers(self):
+        rng = np.random.default_rng(12)
+        buf = ReplayBuffer(capacity=50)
+        for i in range(30):
+            buf.add(ReplayRecord(x=np.full(2, float(i)), reward=float(i),
+                                 next_vectors=rng.normal(size=(i % 4, 2))))
+        batch = buf.sample(np.random.default_rng(5), 32)
+        slots = np.random.default_rng(5).integers(0, 30, size=32)
+        expected = buf.gather(slots)
+        for name in ("x", "rewards", "next_vectors", "sizes"):
+            assert np.array_equal(getattr(batch, name), getattr(expected, name))
+        assert batch.rewards.tolist() == slots.astype(float).tolist()
+        with pytest.raises(IndexError):
+            buf.gather([30])  # allocated but never filled
+
+    def test_add_rejects_other_dimensions(self):
+        buf = ReplayBuffer(capacity=4)
+        buf.add(ReplayRecord(x=np.zeros(3), reward=0.0, next_vectors=np.empty((0, 3))))
+        with pytest.raises(DimensionMismatchError):
+            buf.add(ReplayRecord(x=np.zeros(1), reward=0.0, next_vectors=np.empty((0, 3))))
+        with pytest.raises(DimensionMismatchError):
+            buf.add(ReplayRecord(x=np.zeros(3), reward=0.0, next_vectors=np.zeros((2, 1))))
+        assert len(buf) == 1
 
     def test_seed_replay_empty(self):
         buf = ReplayBuffer(capacity=10)
