@@ -51,8 +51,10 @@ class CrawlConfig:
                 raise ConfigError(f"{name} must be an integer")
         if not isinstance(self.hub_features, bool):
             raise ConfigError("hub_features must be true or false")
-        if self.budget < 1:
-            raise ConfigError("budget must be at least 1")
+        for name, low in (("budget", 1), ("max_text_len", 1), ("warmup_steps", 0),
+                          ("rng_seed", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be at least {low}")
         if self.policy not in POLICIES:
             raise ConfigError(f"unknown policy {self.policy!r}; choose from {POLICIES}")
         if self.mode not in ("sim", "live"):
@@ -230,16 +232,16 @@ def crawl(config: CrawlConfig, fetcher, model, keywords) -> CrawlResult:
             if (t + 1) % agent.target_sync_every == 0:
                 sync_target(online, target)
 
+        if config.policy == "synchronous_tres":
+            mode = "synchronous"
+        elif (config.policy == "tres" and t >= config.warmup_steps
+              and rng_select.random() >= epsilon):
+            mode = "greedy"
+        else:
+            mode = "explore"
         try:
-            if config.policy == "synchronous_tres":
-                entry, info = frontier.update_synchronous(
-                    pending_experience, pending_entries, online, dead)
-            else:
-                greedy = (config.policy == "tres" and t >= config.warmup_steps
-                          and rng_select.random() >= epsilon)
-                entry, info = frontier.update(pending_experience, pending_entries,
-                                              "greedy" if greedy else "explore", online,
-                                              rng_select, dead)
+            entry, info = frontier.update(pending_experience, pending_entries, mode,
+                                          online, rng_select, dead)
         except FrontierExhaustedError:
             status = "exhausted"
             break

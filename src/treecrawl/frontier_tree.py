@@ -146,8 +146,9 @@ class UpdateInfo:
 
     frontier_size counts the entries stored at selection time, the chosen one
     included. A representative draw drops a dead entry only when it meets one,
-    so under update() the count can still hold dead entries; update_synchronous
-    drops them all first. A URL reached by several links counts once per link.
+    so in explore and greedy modes the count can still hold dead entries;
+    synchronous mode drops them all first. A URL reached by several links
+    counts once per link.
     """
     split_occurred: bool
     n_representatives: int
@@ -257,75 +258,58 @@ class TreeFrontier:
                 reps.append((leaf, idx, leaf.frontier[idx]))
         return reps
 
-    def _absorb(self, e_new, f_new) -> bool:
-        """Insert the newest experience, then the new entries; True on a split."""
-        split_occurred = e_new is not None and self.insert_experience(e_new[0], e_new[1])
-        self.insert_frontier(f_new)
-        return split_occurred
-
-    def _take(self, leaf, idx, split_occurred, n_representatives, q_evaluations,
-              q_value):
-        """Record the step as it stands at selection, then remove the chosen
-        entry from its leaf."""
-        info = UpdateInfo(split_occurred=split_occurred,
-                          n_representatives=n_representatives,
-                          q_evaluations=q_evaluations, q_value=q_value,
-                          leaf_id=leaf.leaf_id, leaf_count=self.leaf_count,
-                          frontier_size=self.frontier_size)
-        return self._pop(leaf, idx), info
-
     def update(self, e_new, f_new, mode, qnet, rng, dead=None):
         """One timestep: absorb the newest samples, then pick a frontier entry.
 
         e_new is an optional (x, reward) pair; f_new is an iterable of
-        FrontierEntry. In explore mode the choice is uniform over the leaf
-        representatives; in greedy mode it is the argmax of the value network
-        over them, ties resolved toward the lowest leaf id. The selected entry
-        leaves the tree; the other representatives stay in their leaves.
+        FrontierEntry. The candidates are the leaf representatives, or in
+        synchronous mode every live entry once the dead ones are dropped
+        (leaves in id order, then position in the leaf), the brute-force
+        contrast that measures what the representatives save. Explore mode
+        draws uniformly over the candidates; greedy and synchronous modes take
+        the argmax of the value network over them, ties resolved toward the
+        lowest leaf id. The selected entry leaves the tree; the others stay.
         """
-        split_occurred = self._absorb(e_new, f_new)
-        reps = self.sample_representatives(rng, dead)
-        if not reps:
+        if mode not in ("explore", "greedy", "synchronous"):
+            raise ValueError(f"unknown mode {mode!r}")
+        if mode != "explore" and qnet is None:
+            raise ValueError(f"{mode} mode needs a value network")
+        split_occurred = e_new is not None and self.insert_experience(e_new[0], e_new[1])
+        self.insert_frontier(f_new)
+        if mode == "synchronous":
+            candidates = []
+            for leaf in self._leaves.values():
+                if dead is not None:
+                    kept = [entry for entry in leaf.frontier if not dead(entry.url)]
+                    self.frontier_size -= len(leaf.frontier) - len(kept)
+                    leaf.frontier = kept
+                candidates.extend((leaf, i, entry) for i, entry in enumerate(leaf.frontier))
+        else:
+            candidates = self.sample_representatives(rng, dead)
+        if not candidates:
             raise FrontierExhaustedError("no selectable frontier entries remain")
 
         q_value = None
         evals = 0
         if mode == "explore":
-            pick = int(rng.integers(0, len(reps)))
-        elif mode == "greedy":
-            if qnet is None:
-                raise ValueError("greedy mode needs a value network")
-            qs = qnet.forward(np.stack([entry.x for _, _, entry in reps]))
-            evals = len(reps)
+            pick = int(rng.integers(0, len(candidates)))
+        else:
+            qs = qnet.forward(np.stack([entry.x for _, _, entry in candidates]))
+            evals = len(candidates)
             self.q_evaluations += evals
             pick = int(np.argmax(qs))  # first maximum == lowest leaf id
             q_value = float(qs[pick])
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
-        leaf, idx, _ = reps[pick]
-        return self._take(leaf, idx, split_occurred, len(reps), evals, q_value)
+        leaf, idx, _ = candidates[pick]
+        info = UpdateInfo(split_occurred=split_occurred,
+                          n_representatives=len(candidates), q_evaluations=evals,
+                          q_value=q_value, leaf_id=leaf.leaf_id,
+                          leaf_count=self.leaf_count, frontier_size=self.frontier_size)
+        return self._pop(leaf, idx), info
 
     def update_synchronous(self, e_new, f_new, qnet, dead=None):
-        """Brute-force counterpart of update(): drop every dead entry, then
-        score all the rest with the value network and take the argmax. Exists
-        to measure the cost the representative sampling avoids."""
-        split_occurred = self._absorb(e_new, f_new)
-        refs = []
-        for leaf in self._leaves.values():
-            if dead is not None:
-                kept = [entry for entry in leaf.frontier if not dead(entry.url)]
-                self.frontier_size -= len(leaf.frontier) - len(kept)
-                leaf.frontier = kept
-            refs.extend((leaf, i, entry) for i, entry in enumerate(leaf.frontier))
-        if not refs:
-            raise FrontierExhaustedError("no selectable frontier entries remain")
-
-        qs = qnet.forward(np.stack([entry.x for _, _, entry in refs]))
-        self.q_evaluations += len(refs)
-        best = int(np.argmax(qs))  # first maximum == lowest leaf id
-        leaf, idx, _ = refs[best]
-        return self._take(leaf, idx, split_occurred, len(refs), len(refs),
-                          float(qs[best]))
+        """update() in synchronous mode. Kept only because the crawl
+        benchmark's tracer patches this name."""
+        return self.update(e_new, f_new, "synchronous", qnet, None, dead)
 
     def snapshot(self) -> dict:
         """JSON-friendly structure of split rules and per-leaf sample counts."""

@@ -54,11 +54,6 @@ class CrawlGraph:
     def __init__(self):
         self.nodes = {}
         self.domain_stats = {}  # domain -> [fetched_count, relevant_count]
-        self.timestep = 0
-
-    @property
-    def closure(self):
-        return self.nodes.keys()
 
     def __contains__(self, url):
         return url in self.nodes
@@ -86,7 +81,6 @@ class CrawlGraph:
                               dist_to_relevant=dist,
                               path_relevant=p.path_relevant + reward,
                               path_length=p.path_length + 1)
-            self.timestep += 1
         self.nodes[url] = node
         stats = self.domain_stats.setdefault(domain_of(url), [0, 0])
         stats[0] += 1

@@ -7,6 +7,7 @@ finite differences.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass
 
@@ -114,14 +115,18 @@ class QNetwork:
                 f"expected input dimension {self.input_dim}, got shape {x.shape}")
         return x, single
 
-    def forward(self, x):
-        """Q estimate; a single vector gives a float, a batch gives a 1-D array."""
-        X, single = self._check_input(x)
+    def _layers(self, X):
+        """(z1, a1, z2, a2, q) for a checked batch X."""
         z1 = X @ self.W1 + self.b1
         a1 = _activate(self.activation, z1)
         z2 = a1 @ self.W2 + self.b2
         a2 = _activate(self.activation, z2)
-        out = (a2 @ self.W3 + self.b3)[:, 0]
+        return z1, a1, z2, a2, (a2 @ self.W3 + self.b3)[:, 0]
+
+    def forward(self, x):
+        """Q estimate; a single vector gives a float, a batch gives a 1-D array."""
+        X, single = self._check_input(x)
+        out = self._layers(X)[-1]
         return float(out[0]) if single else out
 
     def loss_and_gradients(self, x, targets):
@@ -131,13 +136,7 @@ class QNetwork:
         if y.shape[0] != X.shape[0]:
             raise DimensionMismatchError("batch and target sizes differ")
         n = X.shape[0]
-
-        z1 = X @ self.W1 + self.b1
-        a1 = _activate(self.activation, z1)
-        z2 = a1 @ self.W2 + self.b2
-        a2 = _activate(self.activation, z2)
-        q = (a2 @ self.W3 + self.b3)[:, 0]
-
+        z1, a1, z2, a2, q = self._layers(X)
         diff = q - y
         loss = float(np.mean(diff * diff))
 
@@ -168,13 +167,7 @@ class QNetwork:
         self.activation = other.activation
 
     def clone(self) -> "QNetwork":
-        twin = QNetwork.__new__(QNetwork)
-        twin.input_dim = self.input_dim
-        twin.hidden = self.hidden
-        twin.activation = self.activation
-        for name in self.PARAM_NAMES:
-            setattr(twin, name, getattr(self, name).copy())
-        return twin
+        return copy.deepcopy(self)
 
 
 def _xavier(rng, fan_in, fan_out):

@@ -24,6 +24,15 @@ SUMMARY_NAME = "summary.json"
 TREE_NAME = "tree.json"
 
 
+def _write_csv(outdir, name, columns, rows):
+    path = os.path.join(outdir, name)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(rows)
+    return path
+
+
 def write_run(result, outdir):
     """Write the crawl log, stats, loss curve, and summary under outdir."""
     os.makedirs(outdir, exist_ok=True)
@@ -32,20 +41,14 @@ def write_run(result, outdir):
         for record in result.log_records:
             fh.write(json.dumps(record) + "\n")
 
-    steps_path = os.path.join(outdir, STEPS_NAME)
-    with open(steps_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(STEP_COLUMNS)
-        for s in result.steps:
-            writer.writerow([s.timestep, s.frontier_size, s.leaf_count,
-                             s.q_evals, s.split_occurred])
-
-    loss_path = os.path.join(outdir, LOSS_NAME)
-    with open(loss_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LOSS_COLUMNS)
-        for step, loss, epsilon in result.losses:
-            writer.writerow([step, repr(float(loss)), repr(float(epsilon))])
+    steps_path = _write_csv(
+        outdir, STEPS_NAME, STEP_COLUMNS,
+        [(s.timestep, s.frontier_size, s.leaf_count, s.q_evals, s.split_occurred)
+         for s in result.steps])
+    loss_path = _write_csv(
+        outdir, LOSS_NAME, LOSS_COLUMNS,
+        [(step, repr(float(loss)), repr(float(epsilon)))
+         for step, loss, epsilon in result.losses])
 
     summary_path = os.path.join(outdir, SUMMARY_NAME)
     with open(summary_path, "w", encoding="utf-8") as fh:
@@ -101,27 +104,19 @@ def report_series(run_dir, outdir=None):
     steps = load_steps(steps_path)
     records = load_log(log_path) if os.path.exists(log_path) else []
 
-    def write_csv(name, columns, rows):
-        path = os.path.join(outdir, name)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(columns)
-            writer.writerows(rows)
-        return path
-
     paths = {
-        "leaves": write_csv("leaves.csv", LEAVES_COLUMNS,
-                            [(int(s["timestep"]), int(s["leaf_count"])) for s in steps]),
-        "frontier": write_csv("frontier.csv", FRONTIER_COLUMNS,
-                              [(int(s["timestep"]), int(s["frontier_size"])) for s in steps]),
-        "ratio": write_csv("ratio.csv", RATIO_COLUMNS,
-                           [(int(s["timestep"]),
-                             repr(s["frontier_size"] / s["leaf_count"])) for s in steps]),
+        "leaves": _write_csv(outdir, "leaves.csv", LEAVES_COLUMNS,
+                             [(int(s["timestep"]), int(s["leaf_count"])) for s in steps]),
+        "frontier": _write_csv(outdir, "frontier.csv", FRONTIER_COLUMNS,
+                               [(int(s["timestep"]), int(s["frontier_size"])) for s in steps]),
+        "ratio": _write_csv(outdir, "ratio.csv", RATIO_COLUMNS,
+                            [(int(s["timestep"]),
+                              repr(s["frontier_size"] / s["leaf_count"])) for s in steps]),
     }
     harvest_rows = []
     total = 0
     for i, record in enumerate(records):
         total += record["reward"]
         harvest_rows.append((record["timestep"], repr(total / (i + 1))))
-    paths["harvest"] = write_csv("harvest.csv", HARVEST_COLUMNS, harvest_rows)
+    paths["harvest"] = _write_csv(outdir, "harvest.csv", HARVEST_COLUMNS, harvest_rows)
     return paths

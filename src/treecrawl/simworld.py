@@ -32,7 +32,6 @@ class SimWorldParams:
     domains: int = 400
     topic_domain_fraction: float = 0.05
     hub_rate: float = 0.12
-    intra_domain_rate: float = 0.0  # optional share of extra links staying on-site
     title_kw_rate: float = 0.5
     title_noise_rate: float = 0.12
     body_kw_mean: float = 6.0
@@ -130,9 +129,6 @@ def generate_sim_world(params: SimWorldParams, seed: int) -> SimWorld:
             domains[i] = topic_domains[int(rng.integers(0, len(topic_domains)))]
         else:
             domains[i] = bg_domains[int(rng.integers(0, len(bg_domains)))]
-    domain_members = {}
-    for i in range(n):
-        domain_members.setdefault(domains[i], []).append(i)
 
     def pick_background(k):
         return [background[int(j)] for j in rng.integers(0, len(background), size=k)]
@@ -190,16 +186,8 @@ def generate_sim_world(params: SimWorldParams, seed: int) -> SimWorld:
                     adjacency[i].append(target)
             continue
         deg = int(rng.poisson(extra_mean))
-        # site navigation: a share of links stays on the same domain, so a
-        # page in a good site leads to more of that site even when the page
-        # itself is irrelevant; for relevant sources this is a topical
-        # mechanism and scales with the locality dial
-        intra = params.intra_domain_rate * (params.locality if relevant[i] else 1.0)
         for _ in range(deg):
-            if intra > 0.0 and rng.random() < intra:
-                peers = domain_members[domains[i]]
-                target = peers[int(rng.integers(0, len(peers)))]
-            elif relevant[i]:
+            if relevant[i]:
                 if rng.random() < params.locality:
                     own = [m for m in members[community[i]] if m != i]
                     if own:

@@ -192,6 +192,18 @@ class TestCrawlCommand:
         assert rc == 1
         assert not out.exists()
 
+    def test_config_field_range_checked(self, pipeline, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"max_text_len": 0}))
+        out = tmp_path / "runs"
+        capsys.readouterr()
+        rc = run_cli("crawl", "--mode", "sim", "--world", pipeline["world"],
+                     "--model", pipeline["model"], "--budget", "5",
+                     "--config", str(cfg_path), "--out", str(out))
+        assert rc == 1
+        assert "max_text_len" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("route", ["--config", "TREECRAWL_CONFIG"])
     @pytest.mark.parametrize("text", ["[1]", "5", "null", '"x"'])
     def test_config_file_must_hold_an_object(self, pipeline, tmp_path, monkeypatch,

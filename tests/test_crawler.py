@@ -97,7 +97,9 @@ class TestCrawlBasics:
                              ("warmup_steps", "5"), ("rng_seed", 1.5),
                              ("max_text_len", None), ("max_domain_visits", 2.5),
                              ("max_domain_visits", "3"), ("seeds", "http://a.com/"),
-                             ("seeds", ["http://a.com/", 3])):
+                             ("seeds", ["http://a.com/", 3]), ("max_text_len", 0),
+                             ("max_text_len", -1), ("warmup_steps", -5),
+                             ("rng_seed", -1)):
             with pytest.raises(ConfigError, match=field):
                 CrawlConfig.from_dict({**valid, field: value}).validate()
         for agent in (5, None, [1]):

@@ -504,6 +504,20 @@ class TestUpdate:
             tree.update(None, [], "explore", None, np.random.default_rng(5),
                         dead=lambda u: True)
 
+    @pytest.mark.parametrize("mode, qnet", [("bogus", _UrlQ(lambda row: 0.0)),
+                                            ("greedy", None), ("synchronous", None)])
+    def test_bad_call_leaves_tree_untouched(self, mode, qnet):
+        tree = self.build_two_leaf_tree()
+        tree.insert_frontier([entry([x], url=f"http://x.com/{x}") for x in (0.1, 0.9)])
+        rng = np.random.default_rng(3)
+        before = (tree.frontier_size, tree.leaf_count, tree.n_experience,
+                  rng.bit_generator.state)
+        with pytest.raises(ValueError):
+            tree.update(([0.8], 1.0), [entry([0.2], url="http://x.com/new")], mode,
+                        qnet, rng, dead=lambda u: u == "http://x.com/0.1")
+        assert (tree.frontier_size, tree.leaf_count, tree.n_experience,
+                rng.bit_generator.state) == before
+
     def test_update_counts_at_most_one_split(self):
         rng = np.random.default_rng(7)
         tree = TreeFrontier()
@@ -519,6 +533,13 @@ class TestUpdate:
 
 
 class TestSynchronous:
+    """Run through update_synchronous; TestSynchronousMode reruns every test
+    through update(..., "synchronous", ...)."""
+
+    @staticmethod
+    def sync(tree, e_new, f_new, qnet, dead=None):
+        return tree.update_synchronous(e_new, f_new, qnet, dead)
+
     def test_evaluations_equal_frontier_size(self):
         rng = np.random.default_rng(8)
         tree = TreeFrontier()
@@ -529,7 +550,7 @@ class TestSynchronous:
             f_new = [entry(rng.uniform(size=3), url=f"http://x.com/{i}-{j}")
                      for j in range(4)]
             before = tree.q_evaluations
-            _, info = tree.update_synchronous(e_new, f_new, qnet)
+            _, info = self.sync(tree, e_new, f_new, qnet)
             assert info.q_evaluations == info.frontier_size
             assert tree.q_evaluations - before == info.frontier_size
             total += info.q_evaluations
@@ -556,7 +577,7 @@ class TestSynchronous:
         tree_b = build()
         assert tree_a.leaf_count == tree_b.leaf_count >= 3
         picked_a, _ = tree_a.update(None, [], "greedy", qnet, np.random.default_rng(11))
-        picked_b, _ = tree_b.update_synchronous(None, [], qnet)
+        picked_b, _ = self.sync(tree_b, None, [], qnet)
         assert picked_a.url == picked_b.url
 
     def test_saturated_entries_dropped_for_good(self):
@@ -566,7 +587,7 @@ class TestSynchronous:
         tree.insert_frontier(full + open_)
         saturated = lambda url: url.startswith("http://full.com")
         qnet = _UrlQ(lambda row: float(row[0]))
-        selected, info = tree.update_synchronous(None, [], qnet, dead=saturated)
+        selected, info = self.sync(tree, None, [], qnet, dead=saturated)
         assert selected.url == "http://open.com/3"  # full.com scores higher
         assert info.frontier_size == 4  # the five saturated entries are gone
         assert info.q_evaluations == info.frontier_size
@@ -577,9 +598,14 @@ class TestSynchronous:
         tree = TreeFrontier()
         tree.insert_frontier([entry([0.5], url=f"http://full.com/{i}") for i in range(3)])
         with pytest.raises(FrontierExhaustedError):
-            tree.update_synchronous(None, [], _UrlQ(lambda row: 0.0),
-                                    dead=lambda u: True)
+            self.sync(tree, None, [], _UrlQ(lambda row: 0.0), dead=lambda u: True)
         assert tree.frontier_size == 0
+
+
+class TestSynchronousMode(TestSynchronous):
+    @staticmethod
+    def sync(tree, e_new, f_new, qnet, dead=None):
+        return tree.update(e_new, f_new, "synchronous", qnet, None, dead)
 
 
 class TestDeterminism:

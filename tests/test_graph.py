@@ -42,7 +42,6 @@ class TestRegisterFetch:
         node = g.register_fetch(None, "http://a.com/seed", 1)
         assert (node.depth, node.reward, node.dist_to_relevant) == (0, 1, 0)
         assert node.path_relevant / node.path_length == 1.0
-        assert g.timestep == 0  # seeds do not advance the counter
 
     def test_chain_distances_match_walk(self):
         g = CrawlGraph()
@@ -63,13 +62,6 @@ class TestRegisterFetch:
         g = CrawlGraph()
         with pytest.raises(GraphIntegrityError):
             g.register_fetch("http://nowhere.com", "http://a.com/x", 0)
-
-    def test_timestep_counts_nonseed_fetches(self):
-        g = CrawlGraph()
-        g.register_fetch(None, "http://a.com/s", 1)
-        g.register_fetch("http://a.com/s", "http://a.com/1", 0)
-        g.register_fetch("http://a.com/1", "http://a.com/2", 1)
-        assert g.timestep == 2
 
 
 class TestStateFeatures:
