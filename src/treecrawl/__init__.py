@@ -10,7 +10,7 @@ from .reward import (PageText, RelevanceModel, keyword_count, keyword_vector,
 from .graph import (CrawlGraph, OutlinkCandidate, build_state_action,
                     build_state_actions, seed_state_action)
 from .qlearn import (AgentConfig, QNetwork, ReplayBatch, ReplayBuffer, ReplayRecord,
-                     ddqn_target, seed_replay, sync_target, train_step)
+                     ddqn_target, seed_replay, train_step)
 from .frontier_tree import (FlatFrontier, FrontierEntry, FrontierExhaustedError,
                             TreeFrontier, best_split)
 from .fetch import FetchFailure, LiveFetcher, Page, SimFetcher

@@ -187,6 +187,8 @@ def cmd_crawl(args) -> int:
         keywords = (load_keywords(inputs["keywords"]) if inputs["keywords"]
                     else KeywordSet(frozenset(world.keywords)))
     else:
+        if inputs["world"]:
+            raise ConfigError("live mode fetches the web and reads no world file; drop --world")
         fetcher = LiveFetcher()
         if not inputs["keywords"]:
             print("error: live mode needs --keywords", file=sys.stderr)
@@ -283,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("sim", "live"), default="sim")
     p.add_argument("--world", help="world JSONL (sim mode)")
     p.add_argument("--policy", choices=POLICIES, default="tres")
-    p.add_argument("--hub-features", dest="hub_features", action="store_true", default=True)
     p.add_argument("--no-hub-features", dest="hub_features", action="store_false")
     p.add_argument("--warmup", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)

@@ -16,7 +16,7 @@ from .graph import (STATE_ACTION_DIM, STATE_ACTION_DIM_NO_HUB, CrawlGraph,
                     OutlinkCandidate, build_state_action, build_state_actions,
                     seed_state_action)
 from .qlearn import (AgentConfig, QNetwork, ReplayBuffer, ReplayRecord,
-                     seed_replay, sync_target, train_step)
+                     seed_replay, train_step)
 from .reward import PageText, reward as reward_of
 from .urls import domain_of, normalize_url
 
@@ -230,7 +230,7 @@ def crawl(config: CrawlConfig, fetcher, model, keywords) -> CrawlResult:
             loss = train_step(online, target, batch, agent)
             losses.append((t, loss, epsilon))
             if (t + 1) % agent.target_sync_every == 0:
-                sync_target(online, target)
+                target = online.clone()
 
         if config.policy == "synchronous_tres":
             mode = "synchronous"

@@ -7,7 +7,7 @@ of the seed set itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,12 +74,6 @@ class KeywordSet:
     @property
     def combined(self):
         return self._combined
-
-    def __contains__(self, token):
-        return token in self.initial or token in self.discovered
-
-    def __len__(self):
-        return len(self.initial) + len(self.discovered)
 
 
 def load_embeddings(path) -> EmbeddingTable:

@@ -154,7 +154,6 @@ class UpdateInfo:
     n_representatives: int
     q_evaluations: int
     q_value: float | None
-    leaf_id: int
     leaf_count: int
     frontier_size: int
 
@@ -302,8 +301,8 @@ class TreeFrontier:
         leaf, idx, _ = candidates[pick]
         info = UpdateInfo(split_occurred=split_occurred,
                           n_representatives=len(candidates), q_evaluations=evals,
-                          q_value=q_value, leaf_id=leaf.leaf_id,
-                          leaf_count=self.leaf_count, frontier_size=self.frontier_size)
+                          q_value=q_value, leaf_count=self.leaf_count,
+                          frontier_size=self.frontier_size)
         return self._pop(leaf, idx), info
 
     def update_synchronous(self, e_new, f_new, qnet, dead=None):

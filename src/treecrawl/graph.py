@@ -31,7 +31,6 @@ class GraphIntegrityError(ValueError):
 
 @dataclass
 class NodeRecord:
-    url: str
     parent: str | None
     reward: int
     depth: int
@@ -64,7 +63,7 @@ class CrawlGraph:
             raise ClosureViolationError(f"{url} already fetched")
         reward = int(reward)
         if parent is None:
-            node = NodeRecord(url=url, parent=None, reward=reward, depth=0,
+            node = NodeRecord(parent=None, reward=reward, depth=0,
                               dist_to_relevant=0 if reward == 1 else math.inf,
                               path_relevant=reward, path_length=1)
         else:
@@ -77,7 +76,7 @@ class CrawlGraph:
                 dist = math.inf
             else:
                 dist = p.dist_to_relevant + 1
-            node = NodeRecord(url=url, parent=parent, reward=reward, depth=p.depth + 1,
+            node = NodeRecord(parent=parent, reward=reward, depth=p.depth + 1,
                               dist_to_relevant=dist,
                               path_relevant=p.path_relevant + reward,
                               path_length=p.path_length + 1)
@@ -120,11 +119,6 @@ class CrawlGraph:
             cur = node.parent
         chain.reverse()
         return chain
-
-    def harvest_rate(self):
-        if not self.nodes:
-            return 0.0
-        return sum(n.reward for n in self.nodes.values()) / len(self.nodes)
 
 
 def build_state_actions(graph: CrawlGraph, parent, candidates, model, keywords,

@@ -8,7 +8,6 @@ finite differences.
 from __future__ import annotations
 
 import copy
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,11 +159,6 @@ class QNetwork:
             param -= learning_rate * grads[name]
             if not np.isfinite(param).all():
                 raise TrainingDivergenceError(f"{name} became non-finite")
-
-    def copy_from(self, other: "QNetwork"):
-        for name in self.PARAM_NAMES:
-            setattr(self, name, getattr(other, name).copy())
-        self.activation = other.activation
 
     def clone(self) -> "QNetwork":
         return copy.deepcopy(self)
@@ -354,32 +348,3 @@ def train_step(online: QNetwork, target: QNetwork, batch: ReplayBatch, cfg: Agen
     online.apply_gradients(grads, cfg.learning_rate)
     return loss
 
-
-def sync_target(online: QNetwork, target: QNetwork):
-    target.copy_from(online)
-    return target
-
-
-def save_checkpoint(net: QNetwork, path):
-    record = {
-        "layers": [net.input_dim, net.hidden[0], net.hidden[1], 1],
-        "activation": net.activation,
-    }
-    for name in QNetwork.PARAM_NAMES:
-        arr = getattr(net, name)
-        record[name] = {"shape": list(arr.shape), "data": arr.reshape(-1).tolist()}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(record, fh)
-        fh.write("\n")
-
-
-def load_checkpoint(path) -> QNetwork:
-    with open(path, encoding="utf-8") as fh:
-        record = json.load(fh)
-    layers = record["layers"]
-    net = QNetwork(layers[0], hidden=(layers[1], layers[2]),
-                   activation=record["activation"], rng=np.random.default_rng(0))
-    for name in QNetwork.PARAM_NAMES:
-        spec = record[name]
-        setattr(net, name, np.array(spec["data"], dtype=np.float64).reshape(spec["shape"]))
-    return net

@@ -52,11 +52,6 @@ class PageText:
         body = tokenize(body_text)
         return cls(url=url, title=tuple(title), body=tuple(body[:max_len]), n_p=len(body))
 
-    @classmethod
-    def title_only(cls, url, title_text):
-        tokens = tuple(tokenize(title_text))
-        return cls(url=url, title=tokens, body=tokens, n_p=len(tokens))
-
 
 def keyword_count(tokens, keywords: KeywordSet) -> int:
     """Occurrences, with multiplicity, of any combined-set keyword in the sequence."""
@@ -242,6 +237,8 @@ def load_model(path) -> RelevanceModel:
 
 def load_corpus_jsonl(path, max_len=DEFAULT_MAX_TEXT_LEN):
     """Read labeled page records {url, title, text, label} and split by label."""
+    if max_len < 1:
+        raise InvalidParameterError(f"max_len must be at least 1, got {max_len}")
     relevant, irrelevant = [], []
     with open(path, encoding="utf-8") as fh:
         for i, line in enumerate(fh, start=1):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -60,12 +60,15 @@ class SimWorld:
     seed: int
     keywords: list
     seed_urls: list
-    pages: dict  # url -> SimPage
-    order: list = field(default_factory=list)  # urls in generation order
+    pages: dict  # url -> SimPage, in generation order
+
+    @property
+    def order(self):
+        return list(self.pages)
 
     @property
     def relevant_urls(self):
-        return [u for u in self.order if self.pages[u].relevant]
+        return [u for u, page in self.pages.items() if page.relevant]
 
 
 def _validate(params: SimWorldParams):
@@ -216,7 +219,6 @@ def generate_sim_world(params: SimWorldParams, seed: int) -> SimWorld:
         return " ".join(titles[j].split()[:4])
 
     pages = {}
-    order = []
     for i in range(n):
         seen = set()
         outlinks = []
@@ -228,17 +230,16 @@ def generate_sim_world(params: SimWorldParams, seed: int) -> SimWorld:
         page = SimPage(url=urls[i], domain=str(domains[i]), relevant=bool(relevant[i]),
                        title=titles[i], body=bodies[i], outlinks=outlinks)
         pages[urls[i]] = page
-        order.append(urls[i])
 
     return SimWorld(params=params, seed=seed, keywords=keywords,
-                    seed_urls=urls[:params.seeds], pages=pages, order=order)
+                    seed_urls=urls[:params.seeds], pages=pages)
 
 
 def training_corpus(world: SimWorld, n_relevant, n_irrelevant, seed=0):
     """Sample labeled page records {url, title, text, label} from the world."""
     rng = np.random.default_rng(seed)
-    rel = [u for u in world.order if world.pages[u].relevant]
-    irr = [u for u in world.order if not world.pages[u].relevant]
+    rel = world.relevant_urls
+    irr = [u for u, page in world.pages.items() if not page.relevant]
     if n_relevant > len(rel) or n_irrelevant > len(irr):
         raise GenerationError("corpus request exceeds the world's page counts")
     chosen_rel = [rel[int(i)] for i in rng.choice(len(rel), size=n_relevant, replace=False)]
@@ -251,17 +252,21 @@ def training_corpus(world: SimWorld, n_relevant, n_irrelevant, seed=0):
     return records
 
 
+def _world_lines(world: SimWorld):
+    """The JSON lines of a world file: a header, then one record per page."""
+    header = {"kind": "simworld", "seed": world.seed, "params": asdict(world.params),
+              "seed_urls": world.seed_urls, "keywords": world.keywords}
+    yield json.dumps(header) + "\n"
+    for page in world.pages.values():
+        yield json.dumps({"url": page.url, "domain": page.domain,
+                          "relevant": page.relevant, "title": page.title,
+                          "body": page.body,
+                          "outlinks": [[u, a] for u, a in page.outlinks]}) + "\n"
+
+
 def save_world(world: SimWorld, path):
     with open(path, "w", encoding="utf-8") as fh:
-        header = {"kind": "simworld", "seed": world.seed, "params": asdict(world.params),
-                  "seed_urls": world.seed_urls, "keywords": world.keywords}
-        fh.write(json.dumps(header) + "\n")
-        for url in world.order:
-            page = world.pages[url]
-            fh.write(json.dumps({"url": page.url, "domain": page.domain,
-                                 "relevant": page.relevant, "title": page.title,
-                                 "body": page.body,
-                                 "outlinks": [[u, a] for u, a in page.outlinks]}) + "\n")
+        fh.writelines(_world_lines(world))
 
 
 def load_world(path) -> SimWorld:
@@ -269,9 +274,13 @@ def load_world(path) -> SimWorld:
         header = json.loads(fh.readline())
         if header.get("kind") != "simworld":
             raise GenerationError(f"{path} is not a serialized world")
+        unknown = sorted(set(header["params"]) - {f.name for f in fields(SimWorldParams)})
+        if unknown:
+            raise GenerationError(
+                f"{path} has unknown world parameters {', '.join(unknown)}; "
+                "regenerate the world with `treecrawl genworld`")
         params = SimWorldParams(**header["params"])
         pages = {}
-        order = []
         for line in fh:
             if not line.strip():
                 continue
@@ -280,19 +289,13 @@ def load_world(path) -> SimWorld:
                            title=rec["title"], body=rec["body"],
                            outlinks=[(u, a) for u, a in rec["outlinks"]])
             pages[page.url] = page
-            order.append(page.url)
     return SimWorld(params=params, seed=header["seed"], keywords=header["keywords"],
-                    seed_urls=header["seed_urls"], pages=pages, order=order)
+                    seed_urls=header["seed_urls"], pages=pages)
 
 
 def world_digest(world: SimWorld) -> str:
-    """Stable content hash used by determinism checks."""
+    """sha256 of the bytes save_world writes for the world."""
     h = hashlib.sha256()
-    header = {"seed": world.seed, "params": asdict(world.params),
-              "seed_urls": world.seed_urls, "keywords": world.keywords}
-    h.update(json.dumps(header, sort_keys=True).encode())
-    for url in world.order:
-        page = world.pages[url]
-        h.update(json.dumps([page.url, page.domain, page.relevant, page.title,
-                             page.body, page.outlinks]).encode())
+    for line in _world_lines(world):
+        h.update(line.encode("utf-8"))
     return h.hexdigest()

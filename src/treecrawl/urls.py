@@ -56,9 +56,13 @@ def normalize_url(raw) -> str:
     if not host:
         raise MalformedUrlError(f"missing host in {raw!r}")
     host = host.lower()
+    try:
+        port = parts.port
+    except ValueError as exc:  # out of range or not a number
+        raise MalformedUrlError(f"bad port in {raw!r}: {exc}") from None
     netloc = host
-    if parts.port is not None and str(parts.port) != _DEFAULT_PORTS.get(scheme):
-        netloc = f"{host}:{parts.port}"
+    if port is not None and str(port) != _DEFAULT_PORTS.get(scheme):
+        netloc = f"{host}:{port}"
 
     path = _normalize_percent(parts.path)
     path = path.rstrip("/")

@@ -38,15 +38,13 @@ def oracle_model():
 def make_world(pages):
     """Assemble a hand-specified world from (url, relevant, title, body, outlinks)."""
     records = {}
-    order = []
     from treecrawl.urls import domain_of
     for url, relevant, title, body, outlinks in pages:
         records[url] = SimPage(url=url, domain=domain_of(url), relevant=relevant,
                                title=title, body=body, outlinks=list(outlinks))
-        order.append(url)
-    params = SimWorldParams(pages=max(10, len(order)))
+    params = SimWorldParams(pages=max(10, len(records)))
     return SimWorld(params=params, seed=0, keywords=["topic00", "topic01", "topic02"],
-                    seed_urls=[order[0]], pages=records, order=order)
+                    seed_urls=[pages[0][0]], pages=records)
 
 
 @pytest.fixture

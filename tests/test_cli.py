@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from treecrawl import cli
 from treecrawl.cli import main
 from treecrawl.report import (FRONTIER_COLUMNS, HARVEST_COLUMNS, LEAVES_COLUMNS,
                               RATIO_COLUMNS, STEP_COLUMNS)
@@ -247,6 +248,39 @@ class TestCrawlCommand:
         for name in ("result.jsonl", "steps.csv", "loss.csv"):
             assert sha(os.path.join(replay_dir, name)) == sha(os.path.join(runs["tuned"], name))
 
+    def test_old_world_file_names_unknown_keys(self, pipeline, tmp_path, capsys):
+        lines = open(pipeline["world"]).read().splitlines(keepends=True)
+        header = json.loads(lines[0])
+        header["params"]["intra_domain_rate"] = 0.5
+        world = tmp_path / "old.jsonl"
+        world.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
+        out = tmp_path / "runs"
+        capsys.readouterr()
+        rc = run_cli("crawl", "--mode", "sim", "--world", str(world),
+                     "--model", pipeline["model"], "--budget", "5", "--out", str(out))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(world) in err and "intra_domain_rate" in err and "genworld" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("route", ["--world", "--config"])
+    def test_live_mode_refuses_world(self, pipeline, tmp_path, monkeypatch, capsys, route):
+        built = []
+        monkeypatch.setattr(cli, "LiveFetcher", lambda *a, **k: built.append(1))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"world": pipeline["world"]}))
+        extra = (("--world", pipeline["world"]) if route == "--world"
+                 else ("--config", str(cfg_path)))
+        out = tmp_path / "runs"
+        capsys.readouterr()
+        rc = run_cli("crawl", "--mode", "live", *extra, "--seeds", "http://a.com/",
+                     "--keywords", pipeline["keywords"], "--model", pipeline["model"],
+                     "--budget", "5", "--out", str(out))
+        assert rc == 1
+        assert "--world" in capsys.readouterr().err
+        assert not out.exists()
+        assert built == []
+
     def test_exhausted_exit_code(self, pipeline, tmp_path):
         # a 600-page world cannot satisfy a 10000-fetch budget
         rc = run_cli("crawl", "--mode", "sim", "--world", pipeline["world"],
@@ -360,3 +394,13 @@ class TestTrainCommand:
         model = json.load(open(pipeline["model"]))
         assert set(model) == {"weights", "bias", "mu", "threshold"}
         assert model["mu"] > 0
+
+    @pytest.mark.parametrize("max_len", ["0", "-1"])
+    def test_max_len_below_one_refused(self, pipeline, tmp_path, capsys, max_len):
+        out = tmp_path / "model.json"
+        capsys.readouterr()
+        rc = run_cli("train", "--corpus", pipeline["corpus"], "--keywords",
+                     pipeline["keywords"], "--max-len", max_len, "--out", str(out))
+        assert rc == 1
+        assert "max_len" in capsys.readouterr().err
+        assert not out.exists()

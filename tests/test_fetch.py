@@ -127,6 +127,17 @@ class TestLiveFetcher:
         fetcher.fetch("http://a.com/private")
         assert [u for u, _ in transport.calls] == ["http://a.com/private"]
 
+    def test_link_with_bad_port_skipped(self):
+        html = ('<html><body><a href="http://a.com:99999/x">bad port</a>'
+                '<a href="/ok">ok</a></body></html>')
+        responses = {
+            "http://a.com/robots.txt": (200, "http://a.com/robots.txt", ""),
+            "http://a.com/page": (200, "http://a.com/page", html),
+        }
+        fetcher, _, _ = make_fetcher(responses)
+        page = fetcher.fetch("http://a.com/page")
+        assert page.outlinks == [("http://a.com/ok", "ok")]
+
     def test_unknown_category_rejected(self):
         with pytest.raises(ValueError):
             FetchFailure("weird", "nope")

@@ -331,8 +331,3 @@ class TestInvariants:
             assert 0.0 <= x[5] <= 1.0
             assert 0.0 <= x[6] <= 1.0
             assert x[7] in (0.5, 1.0)
-
-    def test_harvest_rate_identity(self):
-        g = self.random_forest(11)
-        by_domains = sum(s[1] for s in g.domain_stats.values()) / len(g.nodes)
-        assert g.harvest_rate() == pytest.approx(by_domains, abs=1e-12)

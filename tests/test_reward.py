@@ -79,11 +79,6 @@ class TestPageText:
         assert page.body == ("a", "b", "c")
         assert page.n_p == 5
 
-    def test_title_only(self):
-        page = PageText.title_only("u", "Big Cup Final")
-        assert page.body == ("big", "cup", "final")
-        assert page.n_p == 3
-
 
 def separable_pages(n_rel, n_irr, seed=0):
     """Relevant pages packed with keywords, irrelevant without; oracle is the rule."""

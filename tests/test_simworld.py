@@ -1,3 +1,5 @@
+import hashlib
+import json
 from collections import deque
 
 import numpy as np
@@ -125,6 +127,7 @@ class TestSerialization:
         save_world(world, path)
         loaded = load_world(path)
         assert world_digest(loaded) == world_digest(world)
+        assert world_digest(world) == hashlib.sha256(path.read_bytes()).hexdigest()
         assert loaded.params == params
         assert loaded.seed_urls == world.seed_urls
 
@@ -140,6 +143,19 @@ class TestSerialization:
         path.write_text('{"kind": "other"}\n')
         with pytest.raises(GenerationError):
             load_world(path)
+
+    def test_unknown_params_named(self, tmp_path):
+        path = tmp_path / "world.jsonl"
+        save_world(generate_sim_world(SimWorldParams(pages=150, domains=10), seed=21), path)
+        lines = path.read_text().splitlines(keepends=True)
+        header = json.loads(lines[0])
+        header["params"]["intra_domain_rate"] = 0.5
+        path.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
+        with pytest.raises(GenerationError) as err:
+            load_world(path)
+        message = str(err.value)
+        assert str(path) in message and "intra_domain_rate" in message
+        assert "treecrawl genworld" in message
 
 
 class TestTrainingCorpus:

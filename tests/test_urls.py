@@ -32,7 +32,8 @@ class TestNormalize:
         assert normalize_url("http://a.com/p?q=1&r=2#top") == "http://a.com/p?q=1&r=2"
 
     def test_malformed(self):
-        for bad in ("", "not a url", "mailto:user@example.com", "/relative/only"):
+        for bad in ("", "not a url", "mailto:user@example.com", "/relative/only",
+                    "http://a.com:99999/x", "http://a.com:abc/x"):
             with pytest.raises(MalformedUrlError):
                 normalize_url(bad)
 
