@@ -11,7 +11,7 @@ from html.parser import HTMLParser
 from urllib.parse import urljoin, urlsplit
 from urllib.robotparser import RobotFileParser
 
-from .urls import MalformedUrlError, domain_of, normalize_url
+from .urls import domain_of, normalize_url
 
 
 @dataclass
@@ -92,13 +92,12 @@ def extract_page(url, final_url, html) -> Page:
     outlinks = []
     seen = set()
     for href, anchor in parser.links:
-        absolute = urljoin(final_url, href)
-        scheme = urlsplit(absolute).scheme
-        if scheme not in ("http", "https"):
-            continue
-        try:
+        try:  # urljoin raises ValueError on a broken IPv6 host, as "//[bad/x"
+            absolute = urljoin(final_url, href)
+            if urlsplit(absolute).scheme not in ("http", "https"):
+                continue
             normalized = normalize_url(absolute)
-        except MalformedUrlError:
+        except ValueError:  # MalformedUrlError included
             continue
         if normalized in seen:
             continue
@@ -122,7 +121,11 @@ def urllib_transport(url, timeout, user_agent):
         with opener.open(request, timeout=timeout) as response:
             body = response.read()
             charset = response.headers.get_content_charset() or "utf-8"
-            return response.status, response.geturl(), body.decode(charset, errors="replace")
+            try:
+                text = body.decode(charset, errors="replace")
+            except LookupError:  # a charset name Python does not know
+                text = body.decode("utf-8", errors="replace")
+            return response.status, response.geturl(), text
     except urllib.error.HTTPError as exc:
         return exc.code, url, ""
     except urllib.error.URLError as exc:

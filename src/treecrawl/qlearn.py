@@ -189,106 +189,71 @@ class ReplayBatch:
 
 
 class ReplayBuffer:
-    """FIFO ring of replay records with uniform sampling, held in arrays.
+    """FIFO ring of replay records with uniform sampling.
 
-    Slot i keeps its x in row i of one matrix, its reward in a vector, and its
-    follow-up rows at next[start[i] : start[i] + size[i]] of one flat store
-    that records are appended to. Rows of overwritten slots stay behind until
-    they outnumber the live ones; the store is then compacted, so its used
-    part never exceeds twice the live follow-up rows.
+    Slot i keeps its x in row i of one matrix, its reward in a vector and its
+    follow-up rows as item i of a list of (k, d) arrays. Once the ring is
+    full, each add overwrites the oldest slot.
     """
 
     def __init__(self, capacity):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = int(capacity)
-        self._n = 0
         self._cursor = 0
-        self._x = None
+        self._x = np.empty((0, 0))
         self._rewards = np.empty(0)
-        self._start = np.empty(0, dtype=np.int64)
-        self._size = np.empty(0, dtype=np.int64)
-        self._next = None
-        self._used = 0  # rows of self._next in use, live or stale
-        self._live = 0  # rows that live slots point at
+        self._next = []
 
     def __len__(self):
-        return self._n
+        return len(self._next)
 
     def add(self, record: ReplayRecord):
         x = np.asarray(record.x, dtype=np.float64)
-        nxt = np.asarray(record.next_vectors, dtype=np.float64)
-        d = x.size if self._x is None else self._x.shape[1]  # the first add fixes d
+        nxt = np.array(record.next_vectors, dtype=np.float64)  # our own copy
+        d = self._x.shape[1] if self._next else x.size  # the first add fixes d
         # Row assignment would broadcast a length-1 vector; refuse it instead.
         if x.shape != (d,) or nxt.ndim != 2 or nxt.shape[1] != d:
             raise DimensionMismatchError(
                 f"expected x of shape ({d},) and follow-ups of shape (k, {d}), "
                 f"got {x.shape} and {nxt.shape}")
-        if self._x is None:
+        if not self._next:
             self._x = np.empty((0, d))
-            self._next = np.empty((0, d))
-        if self._n < self.capacity:
-            slot = self._n
-            self._n += 1
+        slot = len(self._next)
+        if slot < self.capacity:
+            self._next.append(nxt)
             if slot == self._x.shape[0]:
                 grown = min(self.capacity, max(16, 2 * slot))
                 self._x = _grow(self._x, grown)
                 self._rewards = _grow(self._rewards, grown)
-                self._start = _grow(self._start, grown)
-                self._size = _grow(self._size, grown)
         else:
             slot = self._cursor
-            self._cursor = (self._cursor + 1) % self.capacity
-            self._live -= int(self._size[slot])
-        k = nxt.shape[0]
-        if self._used + k > self._next.shape[0]:
-            self._next = _grow(self._next, max(16, 2 * (self._used + k)))
-        self._next[self._used:self._used + k] = nxt
+            self._cursor = (slot + 1) % self.capacity
+            self._next[slot] = nxt
         self._x[slot] = x
         self._rewards[slot] = record.reward
-        self._start[slot] = self._used
-        self._size[slot] = k
-        self._used += k
-        self._live += k
-        if self._used > 2 * self._live:
-            self._compact()
-
-    def _compact(self):
-        """Move the live follow-up rows to the front of the store, slot by slot.
-        Only an overwrite leaves stale rows, so every slot is live here."""
-        starts, sizes = self._start[:self._n], self._size[:self._n]
-        self._next[:self._live] = self._next[_segment_rows(starts, sizes)]
-        starts[:] = np.cumsum(sizes) - sizes
-        self._used = self._live
 
     def gather(self, slots) -> ReplayBatch:
         """The records in the given slots, in that order; slot i is the i-th
         record added, until the ring wraps."""
-        # take() copies the same rows as fancy indexing, several times faster;
-        # on the [:n] views it raises IndexError for a slot never filled.
-        n = self._n
+        n = len(self._next)
         slots = np.asarray(slots, dtype=np.int64)
-        sizes = self._size[:n].take(slots)
-        rows = _segment_rows(self._start[:n].take(slots), sizes)
+        nexts = [self._next[i] for i in slots.tolist()]  # IndexError for a slot never filled
+        # take() copies the same rows as fancy indexing, several times faster.
         return ReplayBatch(x=self._x[:n].take(slots, axis=0), rewards=self._rewards[:n].take(slots),
-                           next_vectors=self._next.take(rows, axis=0), sizes=sizes)
+                           next_vectors=np.concatenate(nexts) if nexts else self._x[:0],
+                           sizes=np.fromiter(map(len, nexts), np.int64, len(nexts)))
 
     def sample(self, rng, k) -> ReplayBatch:
-        if not self._n:
+        if not self._next:
             raise ValueError("cannot sample from an empty buffer")
-        return self.gather(rng.integers(0, self._n, size=k))
+        return self.gather(rng.integers(0, len(self._next), size=k))
 
 
 def _grow(arr, rows):
     out = np.empty((rows,) + arr.shape[1:], dtype=arr.dtype)
     out[:arr.shape[0]] = arr
     return out
-
-
-def _segment_rows(starts, sizes):
-    """Concatenated row indices starts[i] .. starts[i] + sizes[i] - 1."""
-    ends = np.cumsum(sizes)
-    return np.repeat(starts - ends + sizes, sizes) + np.arange(ends[-1] if len(ends) else 0)
 
 
 def seed_replay(buffer: ReplayBuffer, seed_vectors):

@@ -8,6 +8,7 @@ relevance probability used in action features and the 0/1 reward.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -224,11 +225,29 @@ def save_model(model: RelevanceModel, path):
         fh.write("\n")
 
 
+def _finite(value):
+    return type(value) in (int, float) and math.isfinite(value)  # no bools
+
+
 def load_model(path) -> RelevanceModel:
+    """Read a save_model record; a missing or malformed field raises an
+    InvalidParameterError naming the file and the field."""
     with open(path, encoding="utf-8") as fh:
         record = json.load(fh)
+    if not isinstance(record, dict):
+        raise InvalidParameterError(f"{path} does not hold a model record")
+    weights = record.get("weights")
+    checks = (("weights", "3 finite numbers", isinstance(weights, list)
+               and len(weights) == 3 and all(map(_finite, weights))),
+              ("bias", "a finite number", _finite(record.get("bias"))),
+              ("threshold", "a finite number", _finite(record.get("threshold"))),
+              ("mu", "a positive number", _finite(record.get("mu")) and record["mu"] > 0))
+    for name, want, ok in checks:
+        if not ok:
+            raise InvalidParameterError(
+                f"{path}: model field {name} must be {want}, got {record.get(name)!r}")
     return RelevanceModel(
-        weights=np.array(record["weights"], dtype=np.float64),
+        weights=np.array(weights, dtype=np.float64),
         bias=float(record["bias"]),
         mu=float(record["mu"]),
         threshold=float(record["threshold"]),

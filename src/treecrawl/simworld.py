@@ -272,8 +272,13 @@ def save_world(world: SimWorld, path):
 def load_world(path) -> SimWorld:
     with open(path, encoding="utf-8") as fh:
         header = json.loads(fh.readline())
-        if header.get("kind") != "simworld":
+        if not isinstance(header, dict) or header.get("kind") != "simworld":
             raise GenerationError(f"{path} is not a serialized world")
+        missing = [key for key in ("params", "seed", "seed_urls", "keywords")
+                   if key not in header]
+        if missing:
+            raise GenerationError(f"{path} header lacks {', '.join(missing)}; "
+                                  "regenerate the world with `treecrawl genworld`")
         unknown = sorted(set(header["params"]) - {f.name for f in fields(SimWorldParams)})
         if unknown:
             raise GenerationError(

@@ -60,9 +60,9 @@ def normalize_url(raw) -> str:
         port = parts.port
     except ValueError as exc:  # out of range or not a number
         raise MalformedUrlError(f"bad port in {raw!r}: {exc}") from None
-    netloc = host
+    netloc = f"[{host}]" if ":" in host else host  # an IPv6 literal keeps its brackets
     if port is not None and str(port) != _DEFAULT_PORTS.get(scheme):
-        netloc = f"{host}:{port}"
+        netloc = f"{netloc}:{port}"
 
     path = _normalize_percent(parts.path)
     path = path.rstrip("/")

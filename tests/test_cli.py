@@ -263,6 +263,39 @@ class TestCrawlCommand:
         assert str(world) in err and "intra_domain_rate" in err and "genworld" in err
         assert not out.exists()
 
+    def test_world_header_missing_keys_named(self, tmp_path, capsys):
+        world = tmp_path / "bare.jsonl"
+        world.write_text(json.dumps({"kind": "simworld"}) + "\n")
+        out = tmp_path / "runs"
+        capsys.readouterr()
+        rc = run_cli("crawl", "--mode", "sim", "--world", str(world),
+                     "--model", "unused.json", "--budget", "5", "--out", str(out))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(world) in err
+        assert all(key in err for key in ("params", "seed", "seed_urls", "keywords"))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("record, field", [
+        ({}, "weights"),
+        ({"weights": [1.0, 2.0]}, "weights"),
+        ({"weights": [1.0, 2.0, float("nan")]}, "weights"),
+        ({"weights": [1.0, 2.0, 3.0], "bias": "0", "mu": 1.0, "threshold": 0.5}, "bias"),
+        ({"weights": [1.0, 2.0, 3.0], "bias": 0.0, "mu": 1.0, "threshold": None}, "threshold"),
+        ({"weights": [1.0, 2.0, 3.0], "bias": 0.0, "mu": 0.0, "threshold": 0.5}, "mu"),
+    ])
+    def test_model_fields_checked(self, pipeline, tmp_path, capsys, record, field):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(record))
+        out = tmp_path / "runs"
+        capsys.readouterr()
+        rc = run_cli("crawl", "--mode", "sim", "--world", pipeline["world"],
+                     "--model", str(model), "--budget", "5", "--out", str(out))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(model) in err and f"field {field} " in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("route", ["--world", "--config"])
     def test_live_mode_refuses_world(self, pipeline, tmp_path, monkeypatch, capsys, route):
         built = []

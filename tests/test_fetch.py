@@ -1,6 +1,10 @@
+import email.message
+import urllib.request
+
 import pytest
 
-from treecrawl.fetch import (FetchFailure, LiveFetcher, SimFetcher, extract_page)
+from treecrawl.fetch import (FetchFailure, LiveFetcher, SimFetcher, extract_page,
+                             urllib_transport)
 from treecrawl.simworld import SimWorldParams, generate_sim_world
 
 HTML = """
@@ -137,6 +141,46 @@ class TestLiveFetcher:
         fetcher, _, _ = make_fetcher(responses)
         page = fetcher.fetch("http://a.com/page")
         assert page.outlinks == [("http://a.com/ok", "ok")]
+
+    def test_broken_ipv6_links_skipped(self):
+        html = ('<html><body><a href="http://[::1">open bracket</a>'
+                '<a href="//[bad/x">bad host</a><a href="http://[::1]/x">loopback</a>'
+                '<a href="/ok">ok</a></body></html>')
+        responses = {
+            "http://a.com/robots.txt": (200, "http://a.com/robots.txt", ""),
+            "http://a.com/page": (200, "http://a.com/page", html),
+            "http://[::1]/x": (200, "http://[::1]/x", "<html><body>local</body></html>"),
+        }
+        fetcher, _, _ = make_fetcher(responses)
+        page = fetcher.fetch("http://a.com/page")
+        assert page.outlinks == [("http://[::1]/x", "loopback"), ("http://a.com/ok", "ok")]
+        assert fetcher.fetch("http://[::1]/x").body_text == "local"
+
+    def test_unknown_charset_decoded_as_utf8(self, monkeypatch):
+        class Response:
+            status = 200
+            headers = email.message.Message()
+            headers["Content-Type"] = "text/html; charset=bogus"
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def read(self):
+                return "<p>caf\u00e9</p>".encode("utf-8") + b"\xff"
+
+            def geturl(self):
+                return "http://a.com/final"
+
+        class Opener:
+            def open(self, request, timeout):
+                return Response()
+
+        monkeypatch.setattr(urllib.request, "build_opener", lambda *handlers: Opener())
+        status, final_url, text = urllib_transport("http://a.com/", 5.0, "ua")
+        assert (status, final_url, text) == (200, "http://a.com/final", "<p>caf\u00e9</p>\ufffd")
 
     def test_unknown_category_rejected(self):
         with pytest.raises(ValueError):

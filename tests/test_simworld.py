@@ -157,6 +157,16 @@ class TestSerialization:
         assert str(path) in message and "intra_domain_rate" in message
         assert "treecrawl genworld" in message
 
+    @pytest.mark.parametrize("header", [{"kind": "simworld"},
+                                        {"kind": "simworld", "params": {}, "seed": 0}])
+    def test_missing_header_keys_named(self, tmp_path, header):
+        path = tmp_path / "world.jsonl"
+        path.write_text(json.dumps(header) + "\n")
+        with pytest.raises(GenerationError) as err:
+            load_world(path)
+        missing = [k for k in ("params", "seed", "seed_urls", "keywords") if k not in header]
+        assert str(err.value).startswith(f"{path} header lacks {', '.join(missing)};")
+
 
 class TestTrainingCorpus:
     def test_sizes_and_labels(self):

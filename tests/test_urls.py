@@ -37,6 +37,15 @@ class TestNormalize:
             with pytest.raises(MalformedUrlError):
                 normalize_url(bad)
 
+    def test_ipv6_host_keeps_brackets(self):
+        for raw, want, host in (
+                ("http://[::1]/x", "http://[::1]/x", "::1"),
+                ("HTTP://[2001:DB8::1]:80/a/", "http://[2001:db8::1]/a", "2001:db8::1"),
+                ("http://[::1]:8080/x", "http://[::1]:8080/x", "::1")):
+            once = normalize_url(raw)
+            assert once == want and normalize_url(once) == once
+            assert domain_of(once) == host
+
     def test_idempotence_over_corpus(self):
         corpus = []
         for i in range(50):
