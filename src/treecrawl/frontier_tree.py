@@ -293,7 +293,8 @@ class TreeFrontier:
         if mode == "explore":
             pick = int(rng.integers(0, len(candidates)))
         else:
-            qs = qnet.forward(np.stack([entry.x for _, _, entry in candidates]))
+            rows = [entry.x for _, _, entry in candidates]
+            qs = qnet.forward(np.concatenate(rows).reshape(len(rows), -1))
             evals = len(candidates)
             self.q_evaluations += evals
             pick = int(np.argmax(qs))  # first maximum == lowest leaf id

@@ -8,6 +8,7 @@ finite differences.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,41 +69,61 @@ class AgentConfig:
         return self.eps_start + (self.eps_end - self.eps_start) * frac
 
 
-def _activate(name, z):
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    if name == "tanh":
-        return np.tanh(z)
-    raise ValueError(f"unknown activation {name!r}")
+# Per activation: one that overwrites its argument with its output, and one
+# that multiplies da in place by the derivative at output a.
+_ACTIVATIONS = {
+    "relu": (lambda a: np.maximum(a, 0.0, out=a),
+             lambda da, a: np.multiply(da, a > 0.0, out=da)),
+    "tanh": (lambda a: np.tanh(a, out=a),
+             lambda da, a: np.multiply(da, 1.0 - a * a, out=da)),
+}
 
 
-def _activate_grad(name, z):
-    if name == "relu":
-        return (z > 0.0).astype(np.float64)
-    if name == "tanh":
-        t = np.tanh(z)
-        return 1.0 - t * t
-    raise ValueError(f"unknown activation {name!r}")
+class ParamViews(dict):
+    """Views, by name in QNetwork.PARAM_NAMES order, of consecutive slices of
+    one flat float64 buffer, `flat`."""
+
+    def __init__(self, flat, shapes):
+        super().__init__()
+        self.flat = flat
+        start = 0
+        for name, shape in zip(QNetwork.PARAM_NAMES, shapes):
+            size = math.prod(shape)
+            self[name] = flat[start:start + size].reshape(shape)
+            start += size
 
 
 class QNetwork:
-    """MLP with two hidden layers and a linear scalar output."""
+    """MLP with two hidden layers and a linear scalar output.
+
+    W1..b3 are views of one flat parameter buffer, `params.flat`, so a
+    descent step and its finiteness check are one operation each. Rebinding
+    an attribute (net.W1 = ...) would detach it; write into it instead.
+    """
 
     PARAM_NAMES = ("W1", "b1", "W2", "b2", "W3", "b3")
 
     def __init__(self, input_dim, hidden=(64, 32), activation="relu", rng=None):
+        if activation not in _ACTIVATIONS:
+            raise ValueError(f"unknown activation {activation!r}; expected 'relu' or 'tanh'")
         if rng is None:
             rng = np.random.default_rng()
-        h1, h2 = hidden
-        self.input_dim = int(input_dim)
-        self.hidden = (int(h1), int(h2))
+        h1, h2 = (int(h) for h in hidden)
+        self.input_dim = d = int(input_dim)
+        self.hidden = (h1, h2)
         self.activation = activation
-        self.W1 = _xavier(rng, self.input_dim, h1)
-        self.b1 = np.zeros(h1)
-        self.W2 = _xavier(rng, h1, h2)
-        self.b2 = np.zeros(h2)
-        self.W3 = _xavier(rng, h2, 1)
-        self.b3 = np.zeros(1)
+        self._act, self._act_grad = _ACTIVATIONS[activation]
+        self._shapes = ((d, h1), (h1,), (h1, h2), (h2,), (h2, 1), (1,))
+        self._bind(np.zeros(sum(math.prod(shape) for shape in self._shapes)))
+        self.W1[:] = _xavier(rng, d, h1)
+        self.W2[:] = _xavier(rng, h1, h2)
+        self.W3[:] = _xavier(rng, h2, 1)
+
+    def _bind(self, flat):
+        """Make W1..b3 views of flat, and give the network its own gradient buffer."""
+        self.params = ParamViews(flat, self._shapes)
+        self.__dict__.update(self.params)
+        self._grads = ParamViews(np.zeros_like(flat), self._shapes)
 
     def _check_input(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -115,12 +136,17 @@ class QNetwork:
         return x, single
 
     def _layers(self, X):
-        """(z1, a1, z2, a2, q) for a checked batch X."""
-        z1 = X @ self.W1 + self.b1
-        a1 = _activate(self.activation, z1)
-        z2 = a1 @ self.W2 + self.b2
-        a2 = _activate(self.activation, z2)
-        return z1, a1, z2, a2, (a2 @ self.W3 + self.b3)[:, 0]
+        """Activations (a1, a2) and values q for a checked batch X; each layer
+        is one product, then bias and activation in place."""
+        a1 = X @ self.W1
+        a1 += self.b1
+        self._act(a1)
+        a2 = a1 @ self.W2
+        a2 += self.b2
+        self._act(a2)
+        q = a2 @ self.W3
+        q += self.b3
+        return a1, a2, q[:, 0]
 
     def forward(self, x):
         """Q estimate; a single vector gives a float, a batch gives a 1-D array."""
@@ -129,39 +155,45 @@ class QNetwork:
         return float(out[0]) if single else out
 
     def loss_and_gradients(self, x, targets):
-        """Mean squared error against fixed targets, plus its parameter gradients."""
+        """Mean squared error against fixed targets, plus its parameter
+        gradients: views of the network's gradient buffer, by parameter name,
+        valid until the next call."""
         X, _ = self._check_input(x)
         y = np.asarray(targets, dtype=np.float64).reshape(-1)
         if y.shape[0] != X.shape[0]:
             raise DimensionMismatchError("batch and target sizes differ")
         n = X.shape[0]
-        z1, a1, z2, a2, q = self._layers(X)
-        diff = q - y
-        loss = float(np.mean(diff * diff))
+        a1, a2, q = self._layers(X)
+        diff = np.subtract(q, y, out=q)
+        loss = float((diff * diff).sum() / n)
 
+        grads = self._grads
         dq = (2.0 * diff / n)[:, None]
-        grads = {}
-        grads["W3"] = a2.T @ dq
-        grads["b3"] = dq.sum(axis=0)
-        da2 = dq @ self.W3.T
-        dz2 = da2 * _activate_grad(self.activation, z2)
-        grads["W2"] = a1.T @ dz2
-        grads["b2"] = dz2.sum(axis=0)
-        da1 = dz2 @ self.W2.T
-        dz1 = da1 * _activate_grad(self.activation, z1)
-        grads["W1"] = X.T @ dz1
-        grads["b1"] = dz1.sum(axis=0)
+        np.matmul(a2.T, dq, out=grads["W3"])
+        dq.sum(axis=0, out=grads["b3"])
+        dz2 = self._act_grad(dq @ self.W3.T, a2)
+        np.matmul(a1.T, dz2, out=grads["W2"])
+        dz2.sum(axis=0, out=grads["b2"])
+        dz1 = self._act_grad(dz2 @ self.W2.T, a1)
+        np.matmul(X.T, dz1, out=grads["W1"])
+        dz1.sum(axis=0, out=grads["b1"])
         return loss, grads
 
-    def apply_gradients(self, grads, learning_rate):
-        for name in self.PARAM_NAMES:
-            param = getattr(self, name)
-            param -= learning_rate * grads[name]
-            if not np.isfinite(param).all():
-                raise TrainingDivergenceError(f"{name} became non-finite")
+    def apply_gradients(self, grads: ParamViews, learning_rate):
+        """One descent step with gradients as loss_and_gradients returns them,
+        from this network or one of the same shape."""
+        flat = self.params.flat
+        flat -= learning_rate * grads.flat
+        if not np.isfinite(flat).all():
+            name = next(name for name, view in self.params.items()
+                        if not np.isfinite(view).all())
+            raise TrainingDivergenceError(f"{name} became non-finite")
 
     def clone(self) -> "QNetwork":
-        return copy.deepcopy(self)
+        """An independent copy: its own parameter and gradient buffers."""
+        twin = copy.copy(self)
+        twin._bind(self.params.flat.copy())
+        return twin
 
 
 def _xavier(rng, fan_in, fan_out):
@@ -238,7 +270,10 @@ class ReplayBuffer:
         record added, until the ring wraps."""
         n = len(self._next)
         slots = np.asarray(slots, dtype=np.int64)
-        nexts = [self._next[i] for i in slots.tolist()]  # IndexError for a slot never filled
+        idx = slots.tolist()
+        if idx and min(idx) < 0:  # list indexing and take() would wrap it
+            raise IndexError(f"negative replay slot {min(idx)}")
+        nexts = [self._next[i] for i in idx]  # IndexError for a slot never filled
         # take() copies the same rows as fancy indexing, several times faster.
         return ReplayBatch(x=self._x[:n].take(slots, axis=0), rewards=self._rewards[:n].take(slots),
                            next_vectors=np.concatenate(nexts) if nexts else self._x[:0],
@@ -277,6 +312,18 @@ def ddqn_target(record: ReplayRecord, online: QNetwork, target: QNetwork, gamma:
     return float(record.reward) + gamma * float(target.forward(nxt[best]))
 
 
+def segment_argmax(values, sizes):
+    """For each segment with sizes[i] > 0 (segment i holds the next sizes[i]
+    values), the index into values that np.argmax over that segment alone
+    picks: its first maximum, or its first NaN."""
+    sizes = sizes[sizes > 0]
+    starts = sizes.cumsum() - sizes
+    hit = values == np.maximum.reduceat(values, starts).repeat(sizes)
+    hit |= np.isnan(values)  # a NaN is its segment's maximum, as for argmax
+    hits = hit.nonzero()[0]
+    return hits[hits.searchsorted(starts)]
+
+
 def batch_targets(batch: ReplayBatch, online: QNetwork, target: QNetwork,
                   gamma: float) -> np.ndarray:
     """Vectorized targets: one online pass over all follow-up vectors, one
@@ -285,17 +332,8 @@ def batch_targets(batch: ReplayBatch, online: QNetwork, target: QNetwork,
     stacked = batch.next_vectors
     if stacked.shape[0] == 0:
         return ys
-    sizes = batch.sizes
-    online_q = online.forward(stacked)
-    # Each record's values in its own row, padded with -inf; a boolean mask
-    # fills the rows in order, and argmax takes the first maximum, as for each
-    # record's segment alone.
-    filled = np.arange(sizes.max()) < sizes[:, None]
-    padded = np.full(filled.shape, -np.inf)
-    padded[filled] = online_q
-    has_next = sizes > 0
-    chosen = (np.cumsum(sizes) - sizes + padded.argmax(axis=1))[has_next]
-    ys[has_next] += gamma * target.forward(stacked.take(chosen, axis=0))
+    chosen = segment_argmax(online.forward(stacked), batch.sizes)
+    ys[batch.sizes > 0] += gamma * target.forward(stacked.take(chosen, axis=0))
     return ys
 
 

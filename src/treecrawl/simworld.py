@@ -269,9 +269,46 @@ def save_world(world: SimWorld, path):
         fh.writelines(_world_lines(world))
 
 
+_PAGE_FIELDS = {"url": str, "domain": str, "relevant": bool, "title": str,
+                "body": str, "outlinks": "links"}
+_KIND_NAMES = {int: "an integer", float: "a number", bool: "a boolean", str: "a string",
+               dict: "an object", "strings": "a list of strings",
+               "links": "a list of [url, anchor] string pairs"}
+
+
+def _is_kind(value, kind):
+    """Whether a JSON value has the kind: a type (an int counts as a float),
+    "strings" or "links"."""
+    if kind == "strings":
+        return isinstance(value, list) and all(isinstance(v, str) for v in value)
+    if kind == "links":
+        return isinstance(value, list) and all(
+            isinstance(v, list) and len(v) == 2 and all(isinstance(s, str) for s in v)
+            for v in value)
+    return type(value) in ((int, float) if kind is float else (kind,))
+
+
+def _field(path, lineno, record, name, kind, label=None):
+    """record[name], checked to be of the kind; errors name the file, the
+    1-based line and the field."""
+    where = f"{path} line {lineno}: {label or name}"
+    if name not in record:
+        raise GenerationError(f"{where} is missing")
+    if not _is_kind(record[name], kind):
+        raise GenerationError(f"{where} must be {_KIND_NAMES[kind]}, got {record[name]!r:.60}")
+    return record[name]
+
+
+def _json_line(path, lineno, line):
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise GenerationError(f"{path} line {lineno} is not JSON: {exc}") from None
+
+
 def load_world(path) -> SimWorld:
     with open(path, encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
+        header = _json_line(path, 1, fh.readline())
         if not isinstance(header, dict) or header.get("kind") != "simworld":
             raise GenerationError(f"{path} is not a serialized world")
         missing = [key for key in ("params", "seed", "seed_urls", "keywords")
@@ -279,23 +316,31 @@ def load_world(path) -> SimWorld:
         if missing:
             raise GenerationError(f"{path} header lacks {', '.join(missing)}; "
                                   "regenerate the world with `treecrawl genworld`")
-        unknown = sorted(set(header["params"]) - {f.name for f in fields(SimWorldParams)})
+        raw = _field(path, 1, header, "params", dict)
+        unknown = sorted(set(raw) - {f.name for f in fields(SimWorldParams)})
         if unknown:
             raise GenerationError(
                 f"{path} has unknown world parameters {', '.join(unknown)}; "
                 "regenerate the world with `treecrawl genworld`")
-        params = SimWorldParams(**header["params"])
+        for f in fields(SimWorldParams):
+            if f.name in raw:
+                _field(path, 1, raw, f.name, type(f.default), "params." + f.name)
+        seed = _field(path, 1, header, "seed", int)
+        seed_urls = _field(path, 1, header, "seed_urls", "strings")
+        keywords = _field(path, 1, header, "keywords", "strings")
         pages = {}
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            rec = json.loads(line)
-            page = SimPage(url=rec["url"], domain=rec["domain"], relevant=rec["relevant"],
-                           title=rec["title"], body=rec["body"],
-                           outlinks=[(u, a) for u, a in rec["outlinks"]])
+            rec = _json_line(path, lineno, line)
+            if not isinstance(rec, dict):
+                raise GenerationError(f"{path} line {lineno}: a page must be an object")
+            page = SimPage(**{name: _field(path, lineno, rec, name, kind)
+                              for name, kind in _PAGE_FIELDS.items()})
+            page.outlinks = [(u, a) for u, a in page.outlinks]
             pages[page.url] = page
-    return SimWorld(params=params, seed=header["seed"], keywords=header["keywords"],
-                    seed_urls=header["seed_urls"], pages=pages)
+    return SimWorld(params=SimWorldParams(**raw), seed=seed, keywords=keywords,
+                    seed_urls=seed_urls, pages=pages)
 
 
 def world_digest(world: SimWorld) -> str:

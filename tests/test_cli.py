@@ -276,6 +276,18 @@ class TestCrawlCommand:
         assert all(key in err for key in ("params", "seed", "seed_urls", "keywords"))
         assert not out.exists()
 
+    def test_world_page_line_checked(self, pipeline, tmp_path, capsys):
+        lines = open(pipeline["world"]).read().splitlines(keepends=True)
+        world = tmp_path / "broken.jsonl"
+        world.write_text("".join(lines[:2]) + "{}\n" + "".join(lines[3:]))
+        out = tmp_path / "runs"
+        capsys.readouterr()
+        rc = run_cli("crawl", "--mode", "sim", "--world", str(world),
+                     "--model", pipeline["model"], "--budget", "5", "--out", str(out))
+        assert rc == 1
+        assert f"{world} line 3: url is missing" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("record, field", [
         ({}, "weights"),
         ({"weights": [1.0, 2.0]}, "weights"),

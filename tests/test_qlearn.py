@@ -3,8 +3,9 @@ import pytest
 from scipy import stats
 
 from treecrawl.qlearn import (AgentConfig, DimensionMismatchError, QNetwork,
-                              ReplayBuffer, ReplayRecord, batch_targets,
-                              ddqn_target, seed_replay, train_step)
+                              ReplayBuffer, ReplayRecord, TrainingDivergenceError,
+                              batch_targets, ddqn_target, seed_replay,
+                              segment_argmax, train_step)
 
 
 def zero_net(dim=8, hidden=(5, 5)):
@@ -75,6 +76,71 @@ class _FixedNet:
         return np.array([self.mapping[tuple(row)] for row in x])
 
 
+class ReferenceNet:
+    """The value network written plainly: one array per parameter, and an
+    out-of-place forward, backward and descent step. The network's in-place
+    passes over one parameter buffer must give the same bits."""
+
+    def __init__(self, net):
+        self.activation = net.activation
+        self.p = {name: getattr(net, name).copy() for name in net.PARAM_NAMES}
+
+    def _act(self, z):
+        return np.maximum(z, 0.0) if self.activation == "relu" else np.tanh(z)
+
+    def _act_grad(self, z):
+        if self.activation == "relu":
+            return (z > 0.0).astype(np.float64)
+        t = np.tanh(z)
+        return 1.0 - t * t
+
+    def _layers(self, X):
+        p = self.p
+        z1 = X @ p["W1"] + p["b1"]
+        a1 = self._act(z1)
+        z2 = a1 @ p["W2"] + p["b2"]
+        a2 = self._act(z2)
+        return z1, a1, z2, a2, (a2 @ p["W3"] + p["b3"])[:, 0]
+
+    def forward(self, X):
+        return self._layers(np.atleast_2d(X))[-1]
+
+    def loss_and_gradients(self, X, y):
+        p, n = self.p, X.shape[0]
+        z1, a1, z2, a2, q = self._layers(X)
+        diff = q - y
+        dq = (2.0 * diff / n)[:, None]
+        dz2 = (dq @ p["W3"].T) * self._act_grad(z2)
+        dz1 = (dz2 @ p["W2"].T) * self._act_grad(z1)
+        grads = {"W3": a2.T @ dq, "b3": dq.sum(axis=0),
+                 "W2": a1.T @ dz2, "b2": dz2.sum(axis=0),
+                 "W1": X.T @ dz1, "b1": dz1.sum(axis=0)}
+        return float(np.mean(diff * diff)), grads
+
+    def apply_gradients(self, grads, learning_rate):
+        for name, param in self.p.items():
+            param -= learning_rate * grads[name]
+
+
+def padded_argmax(values, sizes):
+    """Each non-empty segment's argmax through a -inf padded matrix: the
+    formulation segment_argmax replaces."""
+    filled = np.arange(max(sizes.max(), 1)) < sizes[:, None]
+    padded = np.full(filled.shape, -np.inf)
+    padded[filled] = values
+    return (np.cumsum(sizes) - sizes + padded.argmax(axis=1))[sizes > 0]
+
+
+def reference_train_step(online, target, batch, cfg):
+    ys = batch.rewards.copy()
+    if batch.next_vectors.shape[0]:
+        chosen = padded_argmax(online.forward(batch.next_vectors), batch.sizes)
+        ys[batch.sizes > 0] += cfg.gamma * target.forward(batch.next_vectors[chosen])
+    loss, grads = online.loss_and_gradients(batch.x, ys)
+    online.apply_gradients(grads, cfg.learning_rate)
+    return loss
+
+
 class TestForward:
     def test_zero_net_outputs_zero(self):
         net = zero_net()
@@ -121,6 +187,121 @@ class TestGradients:
         _, grads = net.loss_and_gradients(X, y)
         fd = finite_difference_grads(net, X, y)
         assert max_relative_error(grads, fd) < 1e-4
+
+
+def tied_records(rng, dim, count):
+    """Replay records whose follow-ups repeat rows of a small pool, so that
+    argmax ties occur as they do between duplicate links in a crawl."""
+    pool = rng.normal(size=(6, dim))
+    return [ReplayRecord(x=rng.normal(size=dim), reward=float(rng.integers(0, 2)),
+                         next_vectors=pool[rng.integers(0, 6, size=int(rng.integers(0, 6)))])
+            for _ in range(count)]
+
+
+BATCH_SIZES = [1, 3, 5, 32, 33, 200]
+
+
+class TestMatchesReference:
+    """Bit for bit, the network's passes equal ReferenceNet's."""
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("n", BATCH_SIZES)
+    @pytest.mark.parametrize("dim, hidden", [(8, (64, 32)), (7, (5, 3))])
+    def test_forward_loss_and_gradients(self, activation, n, dim, hidden):
+        rng = np.random.default_rng(n)
+        net = QNetwork(dim, hidden=hidden, activation=activation, rng=rng)
+        ref = ReferenceNet(net)
+        X = rng.normal(size=(n, dim))
+        y = rng.normal(size=n)
+        assert np.array_equal(net.forward(X), ref.forward(X))
+        assert net.forward(X[-1]) == ref.forward(X[-1])[0]
+        loss, grads = net.loss_and_gradients(X, y)
+        ref_loss, ref_grads = ref.loss_and_gradients(X, y)
+        assert loss == ref_loss
+        for name in net.PARAM_NAMES:
+            assert np.array_equal(grads[name], ref_grads[name]), name
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("n", BATCH_SIZES)
+    def test_parameters_after_300_train_steps(self, activation, n):
+        rng = np.random.default_rng(100 + n)
+        online = QNetwork(8, activation=activation, rng=rng)
+        target = online.clone()
+        ref_online, ref_target = ReferenceNet(online), ReferenceNet(target)
+        buf = ReplayBuffer(capacity=64)
+        for record in tied_records(rng, 8, 64):
+            buf.add(record)
+        cfg = AgentConfig(learning_rate=0.01)
+        for _ in range(300):
+            batch = buf.sample(rng, n)
+            loss = train_step(online, target, batch, cfg)
+            assert loss == reference_train_step(ref_online, ref_target, batch, cfg)
+        for name in online.PARAM_NAMES:
+            assert np.array_equal(getattr(online, name), ref_online.p[name]), name
+            assert np.array_equal(getattr(target, name), ref_target.p[name]), name
+
+
+class TestParameterBuffer:
+    def test_unknown_activation_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="'sigmoid'"):
+            QNetwork(4, activation="sigmoid")
+
+    def test_parameters_are_views_of_one_buffer(self):
+        net = QNetwork(4, hidden=(3, 2), rng=np.random.default_rng(0))
+        assert net.params.flat.size == 4 * 3 + 3 + 3 * 2 + 2 + 2 * 1 + 1
+        net.params.flat[:] = 0.0
+        assert net.forward(np.ones(4)) == 0.0
+        for name in net.PARAM_NAMES:
+            assert np.shares_memory(getattr(net, name), net.params.flat)
+
+    def test_applying_gradients_to_a_clone_leaves_the_source(self):
+        rng = np.random.default_rng(15)
+        net = QNetwork(6, hidden=(4, 3), rng=rng)
+        X, y = rng.normal(size=(9, 6)), rng.normal(size=9)
+        before = net.params.flat.copy()
+        _, own = net.loss_and_gradients(X, y)
+        own_before = own.flat.copy()
+        twin = net.clone()
+        _, grads = twin.loss_and_gradients(X + 1.0, y)
+        twin.apply_gradients(grads, 0.1)
+        assert np.array_equal(net.params.flat, before)
+        assert np.array_equal(own.flat, own_before)
+        assert not np.array_equal(twin.params.flat, before)
+        assert not np.shares_memory(twin.params.flat, net.params.flat)
+
+    def test_divergence_names_the_first_non_finite_parameter(self):
+        rng = np.random.default_rng(16)
+        net = QNetwork(4, hidden=(3, 3), rng=rng)
+        _, grads = net.loss_and_gradients(rng.normal(size=(2, 4)), np.zeros(2))
+        grads["b3"][0] = np.nan
+        grads["W2"][1, 1] = np.inf
+        with pytest.raises(TrainingDivergenceError, match="W2 became non-finite"):
+            net.apply_gradients(grads, 0.1)
+
+
+class TestSegmentArgmax:
+    def test_matches_padded_on_ties_and_empty_segments(self):
+        rng = np.random.default_rng(14)
+        for _ in range(300):
+            sizes = rng.integers(0, 5, size=int(rng.integers(1, 12)))
+            values = rng.integers(-1, 2, size=int(sizes.sum())).astype(float)
+            values[rng.random(values.size) < 0.1] = -np.inf
+            assert np.array_equal(segment_argmax(values, sizes), padded_argmax(values, sizes))
+
+    def test_nan_picks_the_first_nan_like_argmax(self):
+        values = np.array([1.0, np.nan, 2.0, np.nan, 5.0, 3.0, np.nan])
+        sizes = np.array([0, 4, 0, 1, 2, 0])
+        assert segment_argmax(values, sizes).tolist() == [1, 4, 6]
+        assert padded_argmax(values, sizes).tolist() == [1, 4, 6]
+        rng = np.random.default_rng(17)
+        for _ in range(100):
+            sizes = rng.integers(0, 5, size=8)
+            values = rng.integers(0, 3, size=int(sizes.sum())).astype(float)
+            values[rng.random(values.size) < 0.2] = np.nan
+            assert np.array_equal(segment_argmax(values, sizes), padded_argmax(values, sizes))
+
+    def test_no_follow_ups(self):
+        assert segment_argmax(np.empty(0), np.zeros(3, dtype=np.int64)).size == 0
 
 
 class TestDdqnTarget:
@@ -315,6 +496,16 @@ class TestReplay:
         assert batch.rewards.tolist() == slots.astype(float).tolist()
         with pytest.raises(IndexError):
             buf.gather([30])  # allocated but never filled
+
+    def test_gather_rejects_negative_slots(self):
+        # take() and list indexing would both wrap -1 to the newest slot.
+        buf = ReplayBuffer(capacity=4)
+        for i in range(3):
+            buf.add(ReplayRecord(x=np.full(2, float(i)), reward=0.0,
+                                 next_vectors=np.empty((0, 2))))
+        for slots in ([-1], [0, -3]):
+            with pytest.raises(IndexError):
+                buf.gather(slots)
 
     def test_add_rejects_other_dimensions(self):
         buf = ReplayBuffer(capacity=4)

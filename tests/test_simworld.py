@@ -157,6 +157,45 @@ class TestSerialization:
         assert str(path) in message and "intra_domain_rate" in message
         assert "treecrawl genworld" in message
 
+    @pytest.mark.parametrize("edit, line, field", [
+        (lambda h, p: h.update(params=[1]), 1, "params"),
+        (lambda h, p: h["params"].update(pages="x"), 1, "params.pages"),
+        (lambda h, p: h["params"].update(relevance=True), 1, "params.relevance"),
+        (lambda h, p: h.update(seed="0"), 1, "seed"),
+        (lambda h, p: h.update(seed_urls="http://a/"), 1, "seed_urls"),
+        (lambda h, p: h.update(keywords=[1]), 1, "keywords"),
+        (lambda h, p: p[1].clear(), 3, "url"),
+        (lambda h, p: p[0].update(relevant=1), 2, "relevant"),
+        (lambda h, p: p[4].update(outlinks=[["http://a/"]]), 6, "outlinks"),
+        (lambda h, p: p[4].pop("body"), 6, "body"),
+    ])
+    def test_wrong_field_types_named(self, tmp_path, edit, line, field):
+        path = tmp_path / "world.jsonl"
+        save_world(generate_sim_world(SimWorldParams(pages=150, domains=10), seed=21), path)
+        header, *pages = [json.loads(text) for text in path.read_text().splitlines()]
+        edit(header, pages)
+        path.write_text("".join(json.dumps(rec) + "\n" for rec in [header] + pages))
+        with pytest.raises(GenerationError) as err:
+            load_world(path)
+        assert str(err.value).startswith(f"{path} line {line}: {field} ")
+
+    @pytest.mark.parametrize("line", [1, 4])
+    def test_line_not_json_named(self, tmp_path, line):
+        path = tmp_path / "world.jsonl"
+        save_world(generate_sim_world(SimWorldParams(pages=150, domains=10), seed=21), path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[line - 1] = "{not json\n"
+        path.write_text("".join(lines))
+        with pytest.raises(GenerationError, match=f"line {line} is not JSON"):
+            load_world(path)
+
+    def test_page_line_not_an_object_named(self, tmp_path):
+        path = tmp_path / "world.jsonl"
+        save_world(generate_sim_world(SimWorldParams(pages=150, domains=10), seed=21), path)
+        path.write_text(path.read_text() + "[1]\n")
+        with pytest.raises(GenerationError, match="line 152: a page must be an object"):
+            load_world(path)
+
     @pytest.mark.parametrize("header", [{"kind": "simworld"},
                                         {"kind": "simworld", "params": {}, "seed": 0}])
     def test_missing_header_keys_named(self, tmp_path, header):
