@@ -22,11 +22,11 @@ from .embeddings import (KeywordSet, expand_keywords, load_embeddings,
                          load_keywords, save_keywords, score_candidates, threshold_b)
 from .fetch import LiveFetcher, SimFetcher
 from .report import report_series, write_run
-from .reward import (load_corpus_jsonl, load_model, macro_f1,
+from .reward import (corpus_records, load_corpus_jsonl, load_model, macro_f1,
                      relevance_probability, save_model, train)
 from .simworld import (SimWorldParams, generate_sim_world, load_world,
                        save_world, training_corpus)
-from .text import load_stopwords
+from .text import load_stopwords, tokenize
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -36,19 +36,11 @@ EXIT_EXHAUSTED = 2
 def _read_corpus_tokens(path):
     """Corpus documents as token sequences: JSONL page records or plain text,
     one document per line."""
-    from .text import tokenize
-    docs = []
+    if path.endswith(".jsonl"):
+        return [tokenize(record.get("title", "") + " " + record.get("text", ""))
+                for record in corpus_records(path, labeled=False)]
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if path.endswith(".jsonl"):
-                record = json.loads(line)
-                docs.append(tokenize(record.get("title", "") + " " + record.get("text", "")))
-            else:
-                docs.append(tokenize(line))
-    return docs
+        return [tokenize(line) for line in fh if line.strip()]
 
 
 def cmd_expand(args) -> int:

@@ -4,12 +4,9 @@ generated world. Both return the same Page shape."""
 from __future__ import annotations
 
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from html.parser import HTMLParser
 from urllib.parse import urljoin, urlsplit
-from urllib.robotparser import RobotFileParser
 
 from .urls import domain_of, normalize_url
 
@@ -109,17 +106,25 @@ def extract_page(url, final_url, html) -> Page:
                 outlinks=outlinks)
 
 
-class _LimitedRedirects(urllib.request.HTTPRedirectHandler):
-    max_redirections = 3
+MAX_BODY_BYTES = 2 * 1024 * 1024  # a longer live body is cut to its first 2 MiB
 
 
 def urllib_transport(url, timeout, user_agent):
-    """Default transport: (status, final_url, text) via urllib, <= 3 redirects."""
+    """Default transport: (status, final_url, text) via urllib, <= 3 redirects,
+    reading at most MAX_BODY_BYTES of the body."""
+    # The HTTP stack (urllib.request pulls in ssl) loads at the first live
+    # fetch, so a simulated crawl never pays for it.
+    import urllib.error
+    import urllib.request
+
+    class _LimitedRedirects(urllib.request.HTTPRedirectHandler):
+        max_redirections = 3
+
     opener = urllib.request.build_opener(_LimitedRedirects())
     request = urllib.request.Request(url, headers={"User-Agent": user_agent})
     try:
         with opener.open(request, timeout=timeout) as response:
-            body = response.read()
+            body = response.read(MAX_BODY_BYTES)
             charset = response.headers.get_content_charset() or "utf-8"
             try:
                 text = body.decode(charset, errors="replace")
@@ -172,6 +177,8 @@ class LiveFetcher:
         return result
 
     def _robots_for(self, url):
+        from urllib.robotparser import RobotFileParser  # imports urllib.request
+
         domain = domain_of(url)
         if domain in self._robots:
             return self._robots[domain]

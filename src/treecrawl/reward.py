@@ -254,20 +254,42 @@ def load_model(path) -> RelevanceModel:
     )
 
 
+def corpus_records(path, labeled=True):
+    """The page records of a JSONL corpus, one object per non-blank line, with
+    `title` and `text` strings when present and, when labeled, a `url` string
+    and a `label` of exactly 0 or 1. A malformed line raises an
+    InvalidParameterError naming the file, the 1-based line and the field."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            where = f"{path} line {lineno}"
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise InvalidParameterError(f"{where} is not JSON: {exc}") from None
+            if not isinstance(record, dict):
+                raise InvalidParameterError(f"{where}: a page record must be an object")
+            for name in ("url", "label") if labeled else ():
+                if name not in record:
+                    raise InvalidParameterError(f"{where}: {name} is missing")
+            for name in ("url", "title", "text"):
+                if name in record and not isinstance(record[name], str):
+                    raise InvalidParameterError(
+                        f"{where}: {name} must be a string, got {record[name]!r:.60}")
+            if labeled and (type(record["label"]) is not int or record["label"] not in (0, 1)):
+                raise InvalidParameterError(
+                    f"{where}: label must be 0 or 1, got {record['label']!r:.60}")
+            yield record
+
+
 def load_corpus_jsonl(path, max_len=DEFAULT_MAX_TEXT_LEN):
     """Read labeled page records {url, title, text, label} and split by label."""
     if max_len < 1:
         raise InvalidParameterError(f"max_len must be at least 1, got {max_len}")
     relevant, irrelevant = [], []
-    with open(path, encoding="utf-8") as fh:
-        for i, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            page = PageText.from_page(record["url"], record.get("title", ""),
-                                      record.get("text", ""), max_len=max_len)
-            if int(record["label"]) == 1:
-                relevant.append(page)
-            else:
-                irrelevant.append(page)
+    for record in corpus_records(path):
+        page = PageText.from_page(record["url"], record.get("title", ""),
+                                  record.get("text", ""), max_len=max_len)
+        (relevant if record["label"] == 1 else irrelevant).append(page)
     return relevant, irrelevant

@@ -44,7 +44,7 @@ class SimWorldParams:
     seeds: int = 1
 
 
-@dataclass
+@dataclass(slots=True)
 class SimPage:
     url: str
     domain: str
@@ -134,7 +134,7 @@ def generate_sim_world(params: SimWorldParams, seed: int) -> SimWorld:
             domains[i] = bg_domains[int(rng.integers(0, len(bg_domains)))]
 
     def pick_background(k):
-        return [background[int(j)] for j in rng.integers(0, len(background), size=k)]
+        return [background[j] for j in rng.integers(0, len(background), size=k).tolist()]
 
     def pick_keyword():
         return keywords[int(rng.integers(0, len(keywords)))]
@@ -215,9 +215,8 @@ def generate_sim_world(params: SimWorldParams, seed: int) -> SimWorld:
         for _ in range(extra):
             adjacency[int(i)].append(int(rel_idx[int(rng.integers(0, len(rel_idx)))]))
 
-    def anchor_for(j):
-        return " ".join(titles[j].split()[:4])
-
+    # One (url, anchor) tuple per page, shared by every page linking there.
+    links = [(urls[j], " ".join(titles[j].split()[:4])) for j in range(n)]
     pages = {}
     for i in range(n):
         seen = set()
@@ -226,7 +225,7 @@ def generate_sim_world(params: SimWorldParams, seed: int) -> SimWorld:
             if j in seen or j == i:
                 continue
             seen.add(j)
-            outlinks.append((urls[j], anchor_for(j)))
+            outlinks.append(links[j])
         page = SimPage(url=urls[i], domain=str(domains[i]), relevant=bool(relevant[i]),
                        title=titles[i], body=bodies[i], outlinks=outlinks)
         pages[urls[i]] = page
@@ -329,6 +328,7 @@ def load_world(path) -> SimWorld:
         seed_urls = _field(path, 1, header, "seed_urls", "strings")
         keywords = _field(path, 1, header, "keywords", "strings")
         pages = {}
+        links = {}  # one tuple per distinct (url, anchor), as generate_sim_world holds them
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
@@ -337,7 +337,8 @@ def load_world(path) -> SimWorld:
                 raise GenerationError(f"{path} line {lineno}: a page must be an object")
             page = SimPage(**{name: _field(path, lineno, rec, name, kind)
                               for name, kind in _PAGE_FIELDS.items()})
-            page.outlinks = [(u, a) for u, a in page.outlinks]
+            page.outlinks = [links.setdefault(link, link)
+                             for link in map(tuple, page.outlinks)]
             pages[page.url] = page
     return SimWorld(params=SimWorldParams(**raw), seed=seed, keywords=keywords,
                     seed_urls=seed_urls, pages=pages)

@@ -426,6 +426,21 @@ class TestExpandCommand:
         report = json.load(open(out + ".report.json"))
         assert report["discovered"] == {}
 
+    @pytest.mark.parametrize("line, field", [("[1]", "must be an object"),
+                                             ("not json", "is not JSON"),
+                                             ('{"text": 5}', "text must be a string")])
+    def test_jsonl_corpus_lines_checked(self, tmp_path, capsys, line, field):
+        emb, kw, _ = write_expansion_fixture(tmp_path)
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text('{"title": "win", "text": "lose k1"}\n' + line + "\n")
+        out = tmp_path / "expanded.txt"
+        rc = run_cli("expand", "--keywords", kw, "--corpus", str(corpus),
+                     "--embeddings", emb, "--out", str(out))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{corpus} line 2" in err and field in err
+        assert not out.exists()
+
     def test_failure_exit_code(self, tmp_path):
         rc = run_cli("expand", "--keywords", str(tmp_path / "none.txt"),
                      "--corpus", str(tmp_path / "none2.txt"),
@@ -448,4 +463,21 @@ class TestTrainCommand:
                      pipeline["keywords"], "--max-len", max_len, "--out", str(out))
         assert rc == 1
         assert "max_len" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line, field", [("{}", "url is missing"),
+                                             ('{"url": "http://a.com", "label": true}',
+                                              "label must be 0 or 1"),
+                                             ("[1,2]", "must be an object")])
+    def test_corpus_lines_checked(self, pipeline, tmp_path, capsys, line, field):
+        corpus = tmp_path / "corpus.jsonl"
+        with open(pipeline["corpus"], encoding="utf-8") as fh:
+            corpus.write_text(fh.readline() + line + "\n")
+        out = tmp_path / "model.json"
+        capsys.readouterr()
+        rc = run_cli("train", "--corpus", str(corpus), "--keywords", pipeline["keywords"],
+                     "--out", str(out))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{corpus} line 2" in err and field in err
         assert not out.exists()

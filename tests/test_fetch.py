@@ -1,10 +1,14 @@
 import email.message
+import os
+import subprocess
+import sys
 import urllib.request
 
 import pytest
 
-from treecrawl.fetch import (FetchFailure, LiveFetcher, SimFetcher, extract_page,
-                             urllib_transport)
+import treecrawl
+from treecrawl.fetch import (MAX_BODY_BYTES, FetchFailure, LiveFetcher, SimFetcher,
+                             extract_page, urllib_transport)
 from treecrawl.simworld import SimWorldParams, generate_sim_world
 
 HTML = """
@@ -168,7 +172,7 @@ class TestLiveFetcher:
             def __exit__(self, *exc):
                 return False
 
-            def read(self):
+            def read(self, size=-1):
                 return "<p>caf\u00e9</p>".encode("utf-8") + b"\xff"
 
             def geturl(self):
@@ -181,6 +185,45 @@ class TestLiveFetcher:
         monkeypatch.setattr(urllib.request, "build_opener", lambda *handlers: Opener())
         status, final_url, text = urllib_transport("http://a.com/", 5.0, "ua")
         assert (status, final_url, text) == (200, "http://a.com/final", "<p>caf\u00e9</p>\ufffd")
+
+    def test_body_read_capped(self, monkeypatch):
+        body = b"<p>" + b"x" * MAX_BODY_BYTES + b"</p>"
+        reads = []
+
+        class Response:
+            status = 200
+            headers = email.message.Message()
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def read(self, size=-1):
+                reads.append(size)
+                return body if size < 0 else body[:size]
+
+            def geturl(self):
+                return "http://a.com/"
+
+        class Opener:
+            def open(self, request, timeout):
+                return Response()
+
+        monkeypatch.setattr(urllib.request, "build_opener", lambda *handlers: Opener())
+        _, _, text = urllib_transport("http://a.com/", 5.0, "ua")
+        assert reads == [MAX_BODY_BYTES]
+        assert text == body[:MAX_BODY_BYTES].decode("ascii")
+
+    def test_import_leaves_http_stack_unloaded(self):
+        code = ("import sys, treecrawl, treecrawl.cli; "
+                "print(sorted({'urllib.request', 'ssl'} & set(sys.modules)))")
+        src = os.path.dirname(os.path.dirname(treecrawl.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
 
     def test_unknown_category_rejected(self):
         with pytest.raises(ValueError):

@@ -202,3 +202,25 @@ class TestPersistence:
         rel, irr = load_corpus_jsonl(path)
         assert len(rel) == 1 and len(irr) == 1
         assert rel[0].body == ("football", "cup")
+
+    @pytest.mark.parametrize("line, field", [
+        ("{}", "url is missing"),
+        ('{"url": "http://a.com"}', "label is missing"),
+        ("not json", "is not JSON"),
+        ("[1, 2]", "must be an object"),
+        ('{"url": 7, "label": 1}', "url must be a string"),
+        ('{"url": "http://a.com", "title": 3, "label": 1}', "title must be a string"),
+        ('{"url": "http://a.com", "text": null, "label": 1}', "text must be a string"),
+        ('{"url": "http://a.com", "label": "yes"}', "label must be 0 or 1"),
+        ('{"url": "http://a.com", "label": 2}', "label must be 0 or 1"),
+        ('{"url": "http://a.com", "label": true}', "label must be 0 or 1"),
+        ('{"url": "http://a.com", "label": 1.0}', "label must be 0 or 1"),
+    ])
+    def test_corpus_lines_checked(self, tmp_path, line, field):
+        path = tmp_path / "corpus.jsonl"
+        good = json.dumps({"url": "http://b.com", "text": "pad", "label": 0})
+        path.write_text(good + "\n\n" + line + "\n")
+        with pytest.raises(InvalidParameterError) as err:
+            load_corpus_jsonl(path)
+        assert f"{path} line 3" in str(err.value)
+        assert field in str(err.value)

@@ -10,6 +10,21 @@ from treecrawl.simworld import (GenerationError, SimWorldParams,
                                 training_corpus, world_digest)
 
 
+# world_digest of the acceptance world (SimWorldParams() seed 0): a change to
+# the generator that alters any page, link or anchor changes it.
+ACCEPTANCE_WORLD_DIGEST = "55a42d328cd90d43caa1a1c6ecd21f05d5ebcf9b476bacd5eaafa5827b0a73d5"
+
+
+def assert_links_shared(world):
+    """Every link to one page is the same (url, anchor) tuple object."""
+    held = {}
+    for page in world.pages.values():
+        for link in page.outlinks:
+            assert type(link) is tuple
+            assert held.setdefault(link[0], link) is link
+    return held
+
+
 def reachable_from(world, starts):
     seen = set(starts)
     queue = deque(starts)
@@ -118,8 +133,26 @@ class TestGeneration:
             targets = [t for t, _ in world.pages[url].outlinks]
             assert len(targets) == len(set(targets))
 
+    def test_acceptance_world_pinned(self, acceptance_world):
+        world, _, _ = acceptance_world
+        assert world_digest(world) == ACCEPTANCE_WORLD_DIGEST
+
+    def test_links_to_a_page_share_one_tuple(self):
+        world = generate_sim_world(SimWorldParams(pages=500, domains=20), seed=4)
+        held = assert_links_shared(world)
+        assert sum(len(page.outlinks) for page in world.pages.values()) > len(held)
+        assert not hasattr(next(iter(world.pages.values())), "__dict__")  # slotted
+
 
 class TestSerialization:
+    def test_loaded_links_share_one_tuple(self, tmp_path):
+        world = generate_sim_world(SimWorldParams(pages=500, domains=20), seed=4)
+        path = tmp_path / "world.jsonl"
+        save_world(world, path)
+        loaded = load_world(path)
+        assert len(assert_links_shared(loaded)) == len(assert_links_shared(world))
+        assert world_digest(loaded) == world_digest(world)
+
     def test_round_trip(self, tmp_path):
         params = SimWorldParams(pages=200, domains=10)
         world = generate_sim_world(params, seed=13)
