@@ -36,7 +36,7 @@ EXIT_EXHAUSTED = 2
 def _read_corpus_tokens(path):
     """Corpus documents as token sequences: JSONL page records or plain text,
     one document per line."""
-    if path.endswith(".jsonl"):
+    if path.lower().endswith(".jsonl"):
         return [tokenize(record.get("title", "") + " " + record.get("text", ""))
                 for record in corpus_records(path, labeled=False)]
     with open(path, encoding="utf-8") as fh:

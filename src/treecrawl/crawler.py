@@ -3,13 +3,14 @@ plus the uniform-random and tree-random baselines and run metrics."""
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, field, asdict, fields
 
 import numpy as np
 
 from .fetch import FetchFailure
-from .frontier_tree import FrontierEntry, FrontierExhaustedError, TreeFrontier
+from .frontier_tree import FrontierBlock, FrontierExhaustedError, TreeFrontier
 # crawl() does not call build_state_action; it is imported only because the
 # crawl benchmark's tracer patches crawler.build_state_action.
 from .graph import (STATE_ACTION_DIM, STATE_ACTION_DIM_NO_HUB, CrawlGraph,
@@ -112,6 +113,36 @@ def enforce_max_domain(graph: CrawlGraph, url, max_visits) -> bool:
     return fetched < max_visits
 
 
+class DeadRule:
+    """The one rule for a frontier entry that can never be selected again: its
+    URL is fetched, or its domain has reached the crawl's fetch cap. Fetch
+    counts only grow and the cap is fixed for a crawl, so a dead entry stays
+    dead and the frontier may drop it for good.
+
+    Called with a URL, the rule answers for one entry. For many rows at once
+    the frontier keeps a fetched flag per URL and a fetch count per domain,
+    updated from fetched_since, and asks dead_rows.
+    """
+
+    def __init__(self, graph: CrawlGraph, cap):
+        self.graph = graph
+        self.cap = cap
+
+    def __call__(self, url):
+        return url in self.graph or (self.cap is not None
+                                     and not enforce_max_domain(self.graph, url, self.cap))
+
+    def fetched_since(self, n):
+        """The URLs fetched after the first n, in fetch order."""
+        return list(itertools.islice(self.graph.nodes, n, None))
+
+    def dead_rows(self, fetched, domain_fetches):
+        """The rule over arrays of each row's fetched flag and domain fetch count."""
+        if self.cap is None:
+            return fetched
+        return fetched | (domain_fetches >= self.cap)
+
+
 def metrics(result: CrawlResult):
     """(harvest rate, relevant domain count, unique domain count) of a run.
 
@@ -132,21 +163,11 @@ def metrics(result: CrawlResult):
     return hr, relevant, unique
 
 
-class PageEntries(list):
-    """A fetched page's new frontier entries; `x` is the (k, d) feature block
-    whose rows the entries hold, in the same order."""
-
-    def __init__(self, entries, x):
-        super().__init__(entries)
-        self.x = x
-
-
 def _outlink_entries(graph, source_url, page, model, keywords, hub):
     candidates = [OutlinkCandidate(url=target, anchor=anchor)
                   for target, anchor in page.outlinks if target not in graph]
     x = build_state_actions(graph, source_url, candidates, model, keywords, hub)
-    return PageEntries([FrontierEntry(x=row, url=c.url, parent=source_url)
-                        for c, row in zip(candidates, x)], x)
+    return FrontierBlock(x, [c.url for c in candidates], source_url)
 
 
 def crawl(config: CrawlConfig, fetcher, model, keywords) -> CrawlResult:
@@ -182,17 +203,12 @@ def crawl(config: CrawlConfig, fetcher, model, keywords) -> CrawlResult:
     # keeps one leaf, so every draw is uniform over the whole frontier.
     learns = config.policy != "random"
     frontier = TreeFrontier()
-    cap = config.max_domain_visits
-
-    def dead(url):
-        # Fetch counts only grow and the cap is fixed for a crawl, so a dead
-        # entry stays dead and the frontier may drop it for good.
-        return url in graph or (cap is not None and not enforce_max_domain(graph, url, cap))
+    dead = DeadRule(graph, config.max_domain_visits)
 
     # Seed bootstrap: seeds are treated as relevant and their outlinks form
-    # the initial frontier, which enters the tree at step 0.
+    # the initial frontier, which enters the tree after the seed experience.
     seed_vectors = []
-    pending_entries = []
+    seed_blocks = []
     for raw in config.seeds:
         url = normalize_url(raw)
         if url in graph:
@@ -207,14 +223,15 @@ def crawl(config: CrawlConfig, fetcher, model, keywords) -> CrawlResult:
                                      title=page.title if page else "")
         seed_vectors.append(seed_state_action(candidate, model, keywords, hub_features=hub))
         if page is not None:
-            pending_entries.extend(
-                _outlink_entries(graph, url, page, model, keywords, hub))
+            seed_blocks.append(_outlink_entries(graph, url, page, model, keywords, hub))
 
     if uses_q:
         seed_replay(replay, seed_vectors)
     if learns:
         for x in seed_vectors:
             frontier.insert_experience(x, 1.0)
+    for block in seed_blocks:
+        frontier.insert_frontier(block)
 
     fetched = []
     log_records = []
@@ -222,6 +239,7 @@ def crawl(config: CrawlConfig, fetcher, model, keywords) -> CrawlResult:
     steps = []
     status = "completed"
     pending_experience = None
+    pending_entries = ()
 
     for t in range(config.budget):
         epsilon = agent.epsilon(t, config.budget)

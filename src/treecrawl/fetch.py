@@ -162,7 +162,7 @@ class LiveFetcher:
         self.clock = clock
         self.sleep = sleep
         self._last_request = {}  # domain -> clock value
-        self._robots = {}  # domain -> RobotFileParser or None
+        self._robots = {}  # domain -> RobotFileParser, or None to allow all
 
     def _request(self, domain, url):
         last = self._last_request.get(domain)
@@ -188,12 +188,14 @@ class LiveFetcher:
         try:
             status, _, text = self._request(domain, robots_url)
         except FetchFailure:
-            parser = None  # unreachable robots: assume allowed
+            status = None
+        if status is None or 500 <= status <= 599:
+            # RFC 9309 2.3.1.4: an unreachable robots.txt means complete disallow.
+            parser.disallow_all = True
+        elif status == 200:
+            parser.parse(text.splitlines())
         else:
-            if status == 200:
-                parser.parse(text.splitlines())
-            else:
-                parser = None
+            parser = None  # 2.3.1.3: an unavailable (4xx) robots.txt allows all
         self._robots[domain] = parser
         return parser
 

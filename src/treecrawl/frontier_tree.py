@@ -7,24 +7,124 @@ reward variance and is only ever attempted on the single leaf that received
 the newest experience sample, so the leaf count grows by at most one per
 update. Each step evaluates one sampled representative per leaf instead of
 the whole frontier.
+
+Frontier samples are stored once, as rows of one store, and a leaf holds
+only their row ids; a draw visits only the leaves that hold rows.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
+
+from .urls import domain_of
 
 
 class FrontierExhaustedError(RuntimeError):
     """No selectable frontier entry remains in any leaf."""
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class FrontierEntry:
+    """One frontier candidate: its features, its URL and the URL of the page
+    that linked to it (None for none)."""
     x: np.ndarray
     url: str
     parent: str | None
+
+
+@dataclass(slots=True)
+class FrontierBlock:
+    """The new frontier entries found on one page: row i of the (k, d) array
+    x belongs to urls[i], and every entry has the same parent."""
+    x: np.ndarray
+    urls: list
+    parent: str | None
+
+    def __len__(self):
+        return len(self.urls)
+
+
+def _room(a, n):
+    """a, or a copy of it with room for n items along axis 0, zero-filled."""
+    if n <= len(a):
+        return a
+    grown = np.zeros((max(16, 2 * n),) + a.shape[1:], a.dtype)
+    grown[:len(a)] = a
+    return grown
+
+
+class _Store:
+    """Every frontier entry ever inserted, one row each, in insertion order.
+
+    Each URL gets an integer id when it is first seen. Row i holds features
+    x[i], URL id url[i] and the parent's URL id parent[i] (-1 for None). Rows
+    never move: an entry leaves the frontier when its leaf forgets the row id.
+    An entry inserted as a FrontierEntry object is kept, and handed back as
+    that same object.
+
+    fetched (per URL id), domain (per URL id) and domain_fetches (per domain
+    id) mirror a dead rule's fetch log for array lookups; they are brought up
+    to date only when a dead rule is applied to many rows at once.
+    """
+
+    def __init__(self):
+        self.n = 0
+        self.x = np.empty((0, 0))
+        self.url = array("q")
+        self.parent = array("q")
+        self.given = {}  # row -> the FrontierEntry inserted as that row
+        self.ids = {}  # URL -> id
+        self.urls = []  # id -> URL
+        self.fetched = np.zeros(0, bool)
+        self.domain = np.zeros(0, np.int64)
+        self.domain_ids = {}
+        self.domain_fetches = np.zeros(0, np.int64)
+        self.n_fetched = 0  # fetch-log entries applied
+
+    def url_id(self, url):
+        uid = self.ids.get(url)
+        if uid is None:
+            uid = self.ids[url] = len(self.urls)
+            self.urls.append(url)
+        return uid
+
+    def append(self, x, urls, parents):
+        """Append one row per URL; returns the first new row id."""
+        first = self.n
+        self.n = first + len(urls)
+        if first == 0:
+            self.x = np.empty((0, x.shape[1]))
+        self.x = _room(self.x, self.n)
+        self.x[first:self.n] = x
+        self.url.extend([self.url_id(u) for u in urls])
+        self.parent.extend([-1 if p is None else self.url_id(p) for p in parents])
+        return first
+
+    def entry(self, row):
+        if self.given:
+            given = self.given.get(row)
+            if given is not None:
+                return given
+        parent = self.parent[row]
+        return FrontierEntry(self.x[row], self.urls[self.url[row]],
+                             None if parent < 0 else self.urls[parent])
+
+    def catch_up(self, fetched_urls):
+        """Apply the fetches logged since the last call."""
+        ids = [self.url_id(url) for url in fetched_urls]
+        known = len(self.domain)
+        if len(self.urls) > known:
+            new = self.urls[known:]
+            self.fetched = np.concatenate([self.fetched, np.zeros(len(new), bool)])
+            self.domain = np.concatenate([self.domain, [
+                self.domain_ids.setdefault(domain_of(u), len(self.domain_ids)) for u in new]])
+            self.domain_fetches = _room(self.domain_fetches, len(self.domain_ids))
+        self.fetched[ids] = True
+        np.add.at(self.domain_fetches, self.domain[ids], 1)
+        self.n_fetched += len(ids)
 
 
 def _variance_reduction(n, k, sl, ssl, total_sum, total_ss, var_parent):
@@ -101,17 +201,19 @@ def best_split(features, rewards):
 
 class _Node:
     """A tree node. A leaf keeps its experience in row arrays whose capacity
-    doubles when full; exp_x and exp_r are views of the rows filled so far."""
+    doubles when full; exp_x and exp_r are views of the rows filled so far.
+    Its frontier is the store rows listed in `rows`."""
 
-    __slots__ = ("leaf_id", "_x", "_r", "n_exp", "frontier", "feature", "threshold",
-                 "left", "right")
+    __slots__ = ("leaf_id", "_x", "_r", "n_exp", "rows", "_store", "feature",
+                 "threshold", "left", "right")
 
-    def __init__(self, leaf_id, exp_x=np.empty((0, 0)), exp_r=np.empty(0)):
+    def __init__(self, leaf_id, store, exp_x=np.empty((0, 0)), exp_r=np.empty(0)):
         self.leaf_id = leaf_id
         self._x = exp_x
         self._r = exp_r
         self.n_exp = len(exp_r)
-        self.frontier = []
+        self.rows = array("q")
+        self._store = store
         self.feature = None
         self.threshold = None
         self.left = None
@@ -129,6 +231,11 @@ class _Node:
     def exp_r(self):
         return self._r[:self.n_exp]
 
+    @property
+    def frontier(self):
+        """The leaf's entries in row order, as a new list."""
+        return [self._store.entry(row) for row in self.rows]
+
     def add_experience(self, x, reward):
         n = self.n_exp
         if n == len(self._r):
@@ -138,6 +245,10 @@ class _Node:
         self._x[n] = x
         self._r[n] = reward
         self.n_exp = n + 1
+
+
+def _rows_of(leaf):
+    return np.frombuffer(leaf.rows, dtype=np.int64)
 
 
 @dataclass
@@ -163,14 +274,16 @@ class TreeFrontier:
 
     def __init__(self):
         self._next_id = 0
+        self._store = _Store()
         self.root = self._new_leaf()
         self._leaves = {self.root.leaf_id: self.root}
+        self._stocked = {}  # leaf id -> leaf, for the leaves that hold rows
         self.n_experience = 0
         self.frontier_size = 0
         self.q_evaluations = 0  # cumulative, selection-attributable only
 
     def _new_leaf(self, *experience):
-        node = _Node(self._next_id, *experience)
+        node = _Node(self._next_id, self._store, *experience)
         self._next_id += 1
         return node
 
@@ -181,6 +294,10 @@ class TreeFrontier:
     def leaves(self):
         """Leaves in creation order (ascending leaf id)."""
         return list(self._leaves.values())
+
+    def _stocked_leaves(self):
+        """The leaves that hold rows, in ascending leaf id."""
+        return [self._stocked[i] for i in sorted(self._stocked)]
 
     def _route(self, x):
         node = self.root
@@ -208,11 +325,17 @@ class TreeFrontier:
         goes_left = leaf.exp_x[:, feature] < threshold
         left = self._new_leaf(leaf.exp_x[goes_left], leaf.exp_r[goes_left])
         right = self._new_leaf(leaf.exp_x[~goes_left], leaf.exp_r[~goes_left])
-        for entry in leaf.frontier:
-            child = left if entry.x[feature] < threshold else right
-            child.frontier.append(entry)
+        if leaf.rows:
+            rows = _rows_of(leaf)
+            to_left = self._store.x[rows, feature] < threshold
+            left.rows = array("q", rows[to_left].tobytes())
+            right.rows = array("q", rows[~to_left].tobytes())
+            del self._stocked[leaf.leaf_id]
+            for child in (left, right):
+                if child.rows:
+                    self._stocked[child.leaf_id] = child
         leaf._x, leaf._r, leaf.n_exp = np.empty((0, 0)), np.empty(0), 0
-        leaf.frontier = []
+        leaf.rows = array("q")
         leaf.feature = feature
         leaf.threshold = threshold
         leaf.left = left
@@ -222,27 +345,48 @@ class TreeFrontier:
         self._leaves[right.leaf_id] = right
 
     def insert_frontier(self, entries):
-        for entry in entries:
-            self._route(entry.x).frontier.append(entry)
-            self.frontier_size += 1
+        """Add frontier entries: a FrontierBlock, or an iterable of
+        FrontierEntry, which the frontier hands back as the same objects."""
+        store = self._store
+        if isinstance(entries, FrontierBlock):
+            if not len(entries):
+                return
+            first = store.append(entries.x, entries.urls, [entries.parent] * len(entries))
+        else:
+            entries = list(entries)
+            if not entries:
+                return
+            first = store.append(np.array([e.x for e in entries], dtype=np.float64),
+                                 [e.url for e in entries], [e.parent for e in entries])
+            store.given.update(enumerate(entries, start=first))
+        for row, x in enumerate(store.x[first:store.n].tolist(), start=first):
+            leaf = self._route(x)
+            if not leaf.rows:
+                self._stocked[leaf.leaf_id] = leaf
+            leaf.rows.append(row)
+        self.frontier_size += store.n - first
 
     def _pop(self, leaf, i):
-        """Swap-remove entry i of the leaf from the frontier and return it."""
-        entries = leaf.frontier
-        entry = entries[i]
-        entries[i] = entries[-1]
-        entries.pop()
+        """Swap-remove row i of the leaf from the frontier and return its row id."""
+        rows = leaf.rows
+        row = rows[i]
+        rows[i] = rows[-1]
+        rows.pop()
+        if not rows:
+            del self._stocked[leaf.leaf_id]
         self.frontier_size -= 1
-        return entry
+        self._store.given.pop(row, None)
+        return row
 
     def _draw_from_leaf(self, leaf, rng, dead):
-        """Index of a uniform draw over the leaf's live entries, or None. A
-        dead entry (dead(url) true: it can never be selected again) that the
-        draw meets leaves the frontier for good."""
-        entries = leaf.frontier
-        while entries:
-            i = int(rng.integers(0, len(entries)))
-            if dead is None or not dead(entries[i].url):
+        """Index of a uniform draw over the leaf's live rows, or None. A dead
+        entry (dead(url) true: it can never be selected again) that the draw
+        meets leaves the frontier for good."""
+        rows = leaf.rows
+        urls, url_of = self._store.urls, self._store.url
+        while rows:
+            i = int(rng.integers(0, len(rows)))
+            if dead is None or not dead(urls[url_of[rows[i]]]):
                 return i
             self._pop(leaf, i)
         return None
@@ -251,17 +395,60 @@ class TreeFrontier:
         """One uniformly drawn live entry per leaf, as (leaf, index, entry);
         empty leaves are skipped."""
         reps = []
-        for leaf in self._leaves.values():
+        entry = self._store.entry
+        for leaf in self._stocked_leaves():
             idx = self._draw_from_leaf(leaf, rng, dead)
             if idx is not None:
-                reps.append((leaf, idx, leaf.frontier[idx]))
+                reps.append((leaf, idx, entry(leaf.rows[idx])))
         return reps
+
+    def _dead_rows(self, rows, dead):
+        """Mask of the rows whose entries dead() rules out. A rule with an
+        array form (fetched_since and dead_rows) is applied through lookups
+        in the store's fetched flags and domain fetch counts."""
+        store = self._store
+        url_ids = np.frombuffer(store.url, dtype=np.int64)[rows]
+        if not hasattr(dead, "dead_rows"):
+            return np.fromiter((dead(store.urls[u]) for u in url_ids.tolist()),
+                               dtype=bool, count=len(rows))
+        store.catch_up(dead.fetched_since(store.n_fetched))
+        return dead.dead_rows(store.fetched[url_ids],
+                              store.domain_fetches[store.domain[url_ids]])
+
+    def _live_rows(self, dead):
+        """Every live row once the dead ones are dropped for good, leaves in
+        id order, then position in the leaf: (leaves, their row counts, rows)."""
+        leaves = self._stocked_leaves()
+        if not leaves:
+            return [], [], np.empty(0, np.int64)
+        rows = np.concatenate([_rows_of(leaf) for leaf in leaves])
+        sizes = [len(leaf.rows) for leaf in leaves]
+        if dead is None:
+            return leaves, sizes, rows
+        gone = self._dead_rows(rows, dead)
+        if not gone.any():
+            return leaves, sizes, rows
+        start = 0
+        for leaf, size in zip(leaves, sizes):
+            end = start + size
+            if gone[start:end].any():
+                kept = rows[start:end][~gone[start:end]]
+                leaf.rows = array("q", kept.tobytes())
+                if not len(kept):
+                    del self._stocked[leaf.leaf_id]
+            start = end
+        given = self._store.given
+        for row in rows[gone].tolist() if given else ():
+            given.pop(row, None)
+        self.frontier_size -= int(gone.sum())
+        leaves = [leaf for leaf in leaves if leaf.rows]
+        return leaves, [len(leaf.rows) for leaf in leaves], rows[~gone]
 
     def update(self, e_new, f_new, mode, qnet, rng, dead=None):
         """One timestep: absorb the newest samples, then pick a frontier entry.
 
-        e_new is an optional (x, reward) pair; f_new is an iterable of
-        FrontierEntry. The candidates are the leaf representatives, or in
+        e_new is an optional (x, reward) pair; f_new is a FrontierBlock or an
+        iterable of FrontierEntry. The candidates are the leaf representatives, or in
         synchronous mode every live entry once the dead ones are dropped
         (leaves in id order, then position in the leaf), the brute-force
         contrast that measures what the representatives save. Explore mode
@@ -276,35 +463,38 @@ class TreeFrontier:
         split_occurred = e_new is not None and self.insert_experience(e_new[0], e_new[1])
         self.insert_frontier(f_new)
         if mode == "synchronous":
-            candidates = []
-            for leaf in self._leaves.values():
-                if dead is not None:
-                    kept = [entry for entry in leaf.frontier if not dead(entry.url)]
-                    self.frontier_size -= len(leaf.frontier) - len(kept)
-                    leaf.frontier = kept
-                candidates.extend((leaf, i, entry) for i, entry in enumerate(leaf.frontier))
+            leaves, sizes, rows = self._live_rows(dead)
+            n_candidates = len(rows)
         else:
             candidates = self.sample_representatives(rng, dead)
-        if not candidates:
+            n_candidates = len(candidates)
+        if not n_candidates:
             raise FrontierExhaustedError("no selectable frontier entries remain")
 
         q_value = None
         evals = 0
         if mode == "explore":
-            pick = int(rng.integers(0, len(candidates)))
+            leaf, idx, entry = candidates[int(rng.integers(0, n_candidates))]
         else:
-            rows = [entry.x for _, _, entry in candidates]
-            qs = qnet.forward(np.concatenate(rows).reshape(len(rows), -1))
-            evals = len(candidates)
+            if mode == "greedy":
+                rows = np.array([leaf.rows[idx] for leaf, idx, _ in candidates])
+            qs = qnet.forward(self._store.x[rows])
+            evals = n_candidates
             self.q_evaluations += evals
             pick = int(np.argmax(qs))  # first maximum == lowest leaf id
             q_value = float(qs[pick])
-        leaf, idx, _ = candidates[pick]
+            if mode == "greedy":
+                leaf, idx, entry = candidates[pick]
+            else:
+                k = int(np.searchsorted(np.cumsum(sizes), pick, side="right"))
+                leaf, idx = leaves[k], pick - sum(sizes[:k])
+                entry = self._store.entry(int(rows[pick]))
         info = UpdateInfo(split_occurred=split_occurred,
-                          n_representatives=len(candidates), q_evaluations=evals,
+                          n_representatives=n_candidates, q_evaluations=evals,
                           q_value=q_value, leaf_count=self.leaf_count,
                           frontier_size=self.frontier_size)
-        return self._pop(leaf, idx), info
+        self._pop(leaf, idx)
+        return entry, info
 
     def update_synchronous(self, e_new, f_new, qnet, dead=None):
         """update() in synchronous mode. Kept only because the crawl
@@ -317,7 +507,7 @@ class TreeFrontier:
             if node.is_leaf:
                 return {"leaf": node.leaf_id,
                         "experience": node.n_exp,
-                        "frontier": len(node.frontier)}
+                        "frontier": len(node.rows)}
             return {"feature": int(node.feature), "threshold": float(node.threshold),
                     "left": visit(node.left), "right": visit(node.right)}
         return {"leaf_count": self.leaf_count, "frontier_size": self.frontier_size,

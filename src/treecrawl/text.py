@@ -18,11 +18,26 @@ yourself yourselves
 """.split())
 
 
+# One string object per distinct token, so that corpora and fetched pages share
+# their words instead of holding a copy per occurrence. The table stops taking
+# new words once it holds this many, so a long live crawl cannot grow it
+# without end; sys.intern is not used because its strings are immortal in
+# CPython 3.12.
+SHARED_TOKENS_MAX = 1 << 16
+_shared_tokens = {}
+
+
 def tokenize(text):
-    """Lowercase and split into alphanumeric tokens, dropping punctuation."""
+    """Lowercase and split into alphanumeric tokens, dropping punctuation.
+
+    Equal tokens are one shared string object while the shared table has room.
+    """
     if not text:
         return []
-    return _TOKEN_RE.findall(text.lower())
+    tokens = _TOKEN_RE.findall(text.lower())
+    shared = _shared_tokens
+    lookup = shared.setdefault if len(shared) < SHARED_TOKENS_MAX else shared.get
+    return list(map(lookup, tokens, tokens))
 
 
 def load_stopwords(path):

@@ -426,6 +426,26 @@ class TestExpandCommand:
         report = json.load(open(out + ".report.json"))
         assert report["discovered"] == {}
 
+    def test_jsonl_suffix_case_insensitive(self, tmp_path):
+        emb, kw, _ = write_expansion_fixture(tmp_path)
+        # "url" and "label" embed like "win", so reading the records as plain
+        # text would discover the JSON keys.
+        with open(emb, "a") as fh:
+            fh.write("url 0.6967067093471654 0.7173560908995228 0.0 0.0\n"
+                     "label 0.6967067093471654 0.7173560908995228 0.0 0.0\n")
+        record = '{"url": "http://a.com/", "title": "win", "text": "lose k1", "label": 1}\n'
+        discovered = {}
+        for name in ("corpus.jsonl", "corpus.JSONL"):
+            corpus = tmp_path / name
+            corpus.write_text(record)
+            out = str(tmp_path / (name + ".out"))
+            assert run_cli("expand", "--keywords", kw, "--corpus", str(corpus),
+                           "--embeddings", emb, "--out", out) == 0
+            discovered[name] = json.load(open(out + ".report.json"))["discovered"]
+        assert "win" in discovered["corpus.jsonl"]
+        assert "url" not in discovered["corpus.jsonl"]
+        assert discovered["corpus.JSONL"] == discovered["corpus.jsonl"]
+
     @pytest.mark.parametrize("line, field", [("[1]", "must be an object"),
                                              ("not json", "is not JSON"),
                                              ('{"text": 5}', "text must be a string")])

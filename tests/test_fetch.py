@@ -117,6 +117,39 @@ class TestLiveFetcher:
         robots_calls = [u for u, _ in transport.calls if u.endswith("robots.txt")]
         assert len(robots_calls) == 1
 
+    @pytest.mark.parametrize("robots", [(500, "http://a.com/robots.txt", ""),
+                                        (503, "http://a.com/robots.txt", "Allow: /"),
+                                        None],
+                             ids=["500", "503", "network-failure"])
+    def test_unreachable_robots_disallows_domain(self, robots):
+        # RFC 9309 2.3.1.4: a 5xx answer or no answer means complete disallow.
+        responses = {"http://a.com/1": (200, "http://a.com/1", "<html></html>"),
+                     "http://a.com/2": (200, "http://a.com/2", "<html></html>"),
+                     "http://b.com/1": (200, "http://b.com/1", "<html></html>"),
+                     "http://b.com/robots.txt": (200, "http://b.com/robots.txt", "")}
+        if robots is not None:
+            responses["http://a.com/robots.txt"] = robots
+        fetcher, transport, _ = make_fetcher(responses)
+        for url in ("http://a.com/1", "http://a.com/2"):
+            with pytest.raises(FetchFailure) as err:
+                fetcher.fetch(url)
+            assert err.value.category == "robots"
+        fetcher.fetch("http://b.com/1")
+        assert [u for u, _ in transport.calls] == [
+            "http://a.com/robots.txt", "http://b.com/robots.txt", "http://b.com/1"]
+
+    @pytest.mark.parametrize("status, body", [(404, ""), (200, "User-agent: *\nAllow: /\n")])
+    def test_available_or_missing_robots_allows(self, status, body):
+        # RFC 9309 2.3.1.3: a 4xx answer means no rules apply.
+        responses = {"http://a.com/robots.txt": (status, "http://a.com/robots.txt", body),
+                     "http://a.com/1": (200, "http://a.com/1", "<html><title>one</title></html>"),
+                     "http://a.com/2": (200, "http://a.com/2", "<html></html>")}
+        fetcher, transport, _ = make_fetcher(responses)
+        assert fetcher.fetch("http://a.com/1").title == "one"
+        fetcher.fetch("http://a.com/2")
+        assert [u for u, _ in transport.calls] == [
+            "http://a.com/robots.txt", "http://a.com/1", "http://a.com/2"]
+
     def test_http_error_category(self):
         responses = {
             "http://a.com/robots.txt": (404, "http://a.com/robots.txt", ""),
@@ -153,6 +186,7 @@ class TestLiveFetcher:
         responses = {
             "http://a.com/robots.txt": (200, "http://a.com/robots.txt", ""),
             "http://a.com/page": (200, "http://a.com/page", html),
+            "http://[::1]/robots.txt": (200, "http://[::1]/robots.txt", ""),
             "http://[::1]/x": (200, "http://[::1]/x", "<html><body>local</body></html>"),
         }
         fetcher, _, _ = make_fetcher(responses)

@@ -359,9 +359,9 @@ class TestRepresentatives:
             tree.insert_experience(rng.uniform(size=2), float(rng.integers(0, 2)))
         leaves = tree.leaves()
         assert len(leaves) >= 5
-        for leaf in leaves[:3]:
-            leaf.frontier.append(entry(leaf.exp_x[0], url=f"http://x.com/{leaf.leaf_id}"))
-            tree.frontier_size += 1
+        # a leaf's own experience routes back to it
+        tree.insert_frontier([entry(leaf.exp_x[0], url=f"http://x.com/{leaf.leaf_id}")
+                              for leaf in leaves[:3]])
         reps = tree.sample_representatives(np.random.default_rng(8))
         assert len(reps) == 3
 
@@ -564,11 +564,11 @@ class TestSynchronous:
             tree = TreeFrontier()
             for _ in range(120):
                 tree.insert_experience(rng2.uniform(size=3), float(rng2.integers(0, 2)))
-            # exactly one frontier entry per leaf
-            for leaf in tree.leaves():
-                x = leaf.exp_x[0].copy()
-                leaf.frontier.append(entry(x, url=f"http://x.com/{leaf.leaf_id}"))
-                tree.frontier_size += 1
+            # exactly one frontier entry per leaf: a leaf's own experience
+            # routes back to it
+            tree.insert_frontier([entry(leaf.exp_x[0].copy(), url=f"http://x.com/{leaf.leaf_id}")
+                                  for leaf in tree.leaves()])
+            assert all(len(leaf.frontier) == 1 for leaf in tree.leaves())
             return tree
 
         rng2 = np.random.default_rng(10)
