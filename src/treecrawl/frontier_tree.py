@@ -428,15 +428,12 @@ class TreeFrontier:
         gone = self._dead_rows(rows, dead)
         if not gone.any():
             return leaves, sizes, rows
-        start = 0
-        for leaf, size in zip(leaves, sizes):
-            end = start + size
-            if gone[start:end].any():
-                kept = rows[start:end][~gone[start:end]]
-                leaf.rows = array("q", kept.tobytes())
-                if not len(kept):
+        bounds = np.cumsum(sizes)[:-1]
+        for leaf, own, dropped in zip(leaves, np.split(rows, bounds), np.split(gone, bounds)):
+            if dropped.any():
+                leaf.rows = array("q", own[~dropped].tobytes())
+                if not leaf.rows:
                     del self._stocked[leaf.leaf_id]
-            start = end
         given = self._store.given
         for row in rows[gone].tolist() if given else ():
             given.pop(row, None)
@@ -448,13 +445,14 @@ class TreeFrontier:
         """One timestep: absorb the newest samples, then pick a frontier entry.
 
         e_new is an optional (x, reward) pair; f_new is a FrontierBlock or an
-        iterable of FrontierEntry. The candidates are the leaf representatives, or in
-        synchronous mode every live entry once the dead ones are dropped
-        (leaves in id order, then position in the leaf), the brute-force
-        contrast that measures what the representatives save. Explore mode
-        draws uniformly over the candidates; greedy and synchronous modes take
-        the argmax of the value network over them, ties resolved toward the
-        lowest leaf id. The selected entry leaves the tree; the others stay.
+        iterable of FrontierEntry. The candidates are the leaf
+        representatives, or in synchronous mode every live entry once the
+        dead ones are dropped (leaves in id order, then position in the
+        leaf), the brute-force contrast that measures what the
+        representatives save. Explore mode draws uniformly over the
+        candidates; greedy and synchronous modes take the argmax of the value
+        network over them, ties resolved toward the lowest leaf id. The
+        selected entry leaves the tree; the others stay.
         """
         if mode not in ("explore", "greedy", "synchronous"):
             raise ValueError(f"unknown mode {mode!r}")
