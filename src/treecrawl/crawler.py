@@ -134,7 +134,8 @@ class DeadRule:
 
     def fetched_since(self, n):
         """The URLs fetched after the first n, in fetch order."""
-        return list(itertools.islice(self.graph.nodes, n, None))
+        nodes = self.graph.nodes  # a dict, in fetch order
+        return list(itertools.islice(reversed(nodes), len(nodes) - n))[::-1]
 
     def dead_rows(self, fetched, domain_fetches):
         """The rule over arrays of each row's fetched flag and domain fetch count."""

@@ -428,12 +428,13 @@ class TreeFrontier:
         gone = self._dead_rows(rows, dead)
         if not gone.any():
             return leaves, sizes, rows
-        bounds = np.cumsum(sizes)[:-1]
-        for leaf, own, dropped in zip(leaves, np.split(rows, bounds), np.split(gone, bounds)):
-            if dropped.any():
-                leaf.rows = array("q", own[~dropped].tobytes())
-                if not leaf.rows:
-                    del self._stocked[leaf.leaf_id]
+        ends = np.cumsum(sizes)
+        starts = ends - sizes
+        for k in np.flatnonzero(np.logical_or.reduceat(gone, starts)).tolist():
+            leaf, own = leaves[k], slice(starts[k], ends[k])
+            leaf.rows = array("q", rows[own][~gone[own]].tobytes())
+            if not leaf.rows:
+                del self._stocked[leaf.leaf_id]
         given = self._store.given
         for row in rows[gone].tolist() if given else ():
             given.pop(row, None)
