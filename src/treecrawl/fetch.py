@@ -195,7 +195,7 @@ class LiveFetcher:
         elif status == 200:
             parser.parse(text.splitlines())
         else:
-            parser = None  # 2.3.1.3: an unavailable (4xx) robots.txt allows all
+            parser = None  # any other answer, 4xx included (2.3.1.3), allows all
         self._robots[domain] = parser
         return parser
 

@@ -138,7 +138,8 @@ class TestLiveFetcher:
         assert [u for u, _ in transport.calls] == [
             "http://a.com/robots.txt", "http://b.com/robots.txt", "http://b.com/1"]
 
-    @pytest.mark.parametrize("status, body", [(404, ""), (200, "User-agent: *\nAllow: /\n")])
+    @pytest.mark.parametrize("status, body", [(404, ""), (200, "User-agent: *\nAllow: /\n")],
+                             ids=["404", "200"])
     def test_available_or_missing_robots_allows(self, status, body):
         # RFC 9309 2.3.1.3: a 4xx answer means no rules apply.
         responses = {"http://a.com/robots.txt": (status, "http://a.com/robots.txt", body),
