@@ -392,14 +392,13 @@ class TreeFrontier:
         return None
 
     def sample_representatives(self, rng, dead=None):
-        """One uniformly drawn live entry per leaf, as (leaf, index, entry);
-        empty leaves are skipped."""
+        """One uniformly drawn live entry per leaf, as (leaf, index in the
+        leaf, store row); empty leaves are skipped."""
         reps = []
-        entry = self._store.entry
         for leaf in self._stocked_leaves():
             idx = self._draw_from_leaf(leaf, rng, dead)
             if idx is not None:
-                reps.append((leaf, idx, entry(leaf.rows[idx])))
+                reps.append((leaf, idx, leaf.rows[idx]))
         return reps
 
     def _dead_rows(self, rows, dead):
@@ -473,21 +472,21 @@ class TreeFrontier:
         q_value = None
         evals = 0
         if mode == "explore":
-            leaf, idx, entry = candidates[int(rng.integers(0, n_candidates))]
+            leaf, idx, row = candidates[int(rng.integers(0, n_candidates))]
         else:
             if mode == "greedy":
-                rows = np.array([leaf.rows[idx] for leaf, idx, _ in candidates])
+                rows = np.array([row for _, _, row in candidates])
             qs = qnet.forward(self._store.x[rows])
             evals = n_candidates
             self.q_evaluations += evals
             pick = int(np.argmax(qs))  # first maximum == lowest leaf id
             q_value = float(qs[pick])
             if mode == "greedy":
-                leaf, idx, entry = candidates[pick]
+                leaf, idx, row = candidates[pick]
             else:
                 k = int(np.searchsorted(np.cumsum(sizes), pick, side="right"))
-                leaf, idx = leaves[k], pick - sum(sizes[:k])
-                entry = self._store.entry(int(rows[pick]))
+                leaf, idx, row = leaves[k], pick - sum(sizes[:k]), int(rows[pick])
+        entry = self._store.entry(row)
         info = UpdateInfo(split_occurred=split_occurred,
                           n_representatives=n_candidates, q_evaluations=evals,
                           q_value=q_value, leaf_count=self.leaf_count,

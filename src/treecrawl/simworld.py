@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from array import array
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -44,14 +45,62 @@ class SimWorldParams:
     seeds: int = 1
 
 
-@dataclass(slots=True)
+# Every word of every page body, by id, for all worlds alike. The table only
+# grows, so an id keeps its word for the life of the process. A body holds
+# array('H') of ids while they fit 16 bits, array('I') after.
+_WORDS = []
+_WORD_IDS = {}
+
+
+def _pack(ids):
+    """ids as an array of the narrower unsigned type that holds them."""
+    try:
+        return array("H", ids)
+    except OverflowError:
+        return array("I", ids)
+
+
+def _encode(text):
+    """The ids of text.split(" "), which " ".join inverts for any string."""
+    ids = []
+    for word in text.split(" "):
+        wid = _WORD_IDS.get(word)
+        if wid is None:
+            wid = _WORD_IDS[word] = len(_WORDS)
+            _WORDS.append(word)
+        ids.append(wid)
+    return _pack(ids)
+
+
+@dataclass(slots=True, init=False)
 class SimPage:
+    """A page of the simulated web. Its body is held as word ids (`words`)
+    and read back as the string it was built from."""
     url: str
     domain: str
     relevant: bool
     title: str
-    body: str
+    words: array  # the body's word ids in the shared table
     outlinks: list  # (url, anchor)
+
+    def __init__(self, url, domain, relevant, title, body, outlinks):
+        self.url, self.domain, self.relevant, self.title = url, domain, relevant, title
+        self.words = _encode(body)
+        self.outlinks = outlinks
+
+    @classmethod
+    def from_words(cls, url, domain, relevant, title, words, outlinks):
+        """A page whose body is the given word ids."""
+        page = cls.__new__(cls)
+        page.url, page.domain, page.relevant, page.title = url, domain, relevant, title
+        page.words = words
+        page.outlinks = outlinks
+        return page
+
+    @property
+    def body(self):
+        words = _WORDS
+        return " ".join([words[i] for i in self.words])
 
 
 @dataclass
@@ -139,6 +188,11 @@ def generate_sim_world(params: SimWorldParams, seed: int) -> SimWorld:
     def pick_keyword():
         return keywords[int(rng.integers(0, len(keywords)))]
 
+    # Bodies are drawn as word ids, with each word looked up once per world.
+    vocab = _encode(" ".join(background + keywords))
+    background_ids = np.asarray(vocab[:len(background)])
+    keyword_ids = np.asarray(vocab[len(background):])
+
     urls = []
     titles = []
     bodies = []
@@ -157,12 +211,14 @@ def generate_sim_world(params: SimWorldParams, seed: int) -> SimWorld:
             title_tokens[0] = pick_keyword()  # noise keyword in an irrelevant title
         titles.append(" ".join(title_tokens))
 
-        body_tokens = pick_background(params.body_len)
+        body = background_ids[rng.integers(0, len(background), size=params.body_len)]
         kw_mean = params.body_kw_mean if relevant[i] else params.noise_kw_mean
         n_kw = int(rng.poisson(kw_mean))
         for _ in range(min(n_kw, params.body_len)):
-            body_tokens[int(rng.integers(0, params.body_len))] = pick_keyword()
-        bodies.append(" ".join(body_tokens))
+            # the keyword is drawn before its position, as in `a[pos()] = kw()`
+            body[int(rng.integers(0, params.body_len))] = \
+                keyword_ids[int(rng.integers(0, len(keywords)))]
+        bodies.append(array(vocab.typecode, body.tobytes()))
 
     # One in-edge from an earlier page guarantees reachability from the seeds.
     # Topical locality shapes these too: a relevant page is discovered mostly
@@ -226,8 +282,8 @@ def generate_sim_world(params: SimWorldParams, seed: int) -> SimWorld:
                 continue
             seen.add(j)
             outlinks.append(links[j])
-        page = SimPage(url=urls[i], domain=str(domains[i]), relevant=bool(relevant[i]),
-                       title=titles[i], body=bodies[i], outlinks=outlinks)
+        page = SimPage.from_words(urls[i], str(domains[i]), bool(relevant[i]),
+                                  titles[i], bodies[i], outlinks)
         pages[urls[i]] = page
 
     return SimWorld(params=params, seed=seed, keywords=keywords,

@@ -8,9 +8,9 @@ _UNRESERVED = frozenset(
 )
 _DEFAULT_PORTS = {"http": "80", "https": "443"}
 # URLs whose domain is remembered. A crawl asks for one URL's domain many times
-# (cap checks, hub features, fetch bookkeeping); the default simulated world's
-# 10,000 URLs fit.
-DOMAIN_CACHE_SIZE = 1 << 15
+# (cap checks, hub features, fetch bookkeeping); the 100,000 URLs of
+# SimWorldParams(pages=100_000) fit.
+DOMAIN_CACHE_SIZE = 1 << 17
 
 
 class MalformedUrlError(ValueError):

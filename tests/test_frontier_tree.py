@@ -337,7 +337,7 @@ class TestRepresentatives:
         e = entry([0.5])
         tree.insert_frontier([e])
         reps = tree.sample_representatives(np.random.default_rng(0))
-        assert len(reps) == 1 and reps[0][2] is e
+        assert len(reps) == 1 and tree._store.entry(reps[0][2]) is e
 
     def test_uniform_within_leaf(self):
         tree = TreeFrontier()
@@ -347,8 +347,8 @@ class TestRepresentatives:
         counts = {u: 0 for u in urls}
         n = 100_000
         for _ in range(n):
-            (_, _, e), = tree.sample_representatives(rng)
-            counts[e.url] += 1
+            (_, _, row), = tree.sample_representatives(rng)
+            counts[tree._store.entry(row).url] += 1
         for u in urls:
             assert abs(counts[u] / n - 0.25) < 0.02
 

@@ -1,11 +1,13 @@
 import hashlib
 import json
+import sys
 from collections import deque
 
 import numpy as np
 import pytest
 
-from treecrawl.simworld import (GenerationError, SimWorldParams,
+from conftest import make_world
+from treecrawl.simworld import (GenerationError, SimPage, SimWorldParams,
                                 generate_sim_world, load_world, save_world,
                                 training_corpus, world_digest)
 
@@ -255,3 +257,36 @@ class TestTrainingCorpus:
         world = generate_sim_world(SimWorldParams(pages=100, domains=10), seed=1)
         with pytest.raises(GenerationError):
             training_corpus(world, 1000, 10, seed=0)
+
+
+# Bodies that a split on single spaces must give back exactly; the last one
+# has 70,000 distinct words, more ids than 16 bits hold.
+BODIES = ["", " ", "a  b", "  leading", "trailing  ", " both ends ",
+          "tab\tand\nnewline\r\n", "naïve café – 日本語 emoji \U0001f600",
+          " ".join(f"distinct{i:05d}" for i in range(70_000))]
+
+
+class TestBodies:
+    def test_stored_bodies_fit_3mb(self, acceptance_world):
+        world, _, _ = acceptance_world
+        assert sum(sys.getsizeof(page.words) for page in world.pages.values()) < 3_000_000
+
+    @pytest.mark.parametrize("body", BODIES, ids=range(len(BODIES)))
+    def test_body_round_trip(self, body):
+        page = SimPage(url="http://x.sim/a", domain="x.sim", relevant=False, title="t",
+                       body=body, outlinks=[])
+        assert page.body == body
+
+    def test_ids_past_16_bits_widen_the_array(self):
+        page = SimPage(url="http://x.sim/a", domain="x.sim", relevant=False, title="t",
+                       body=BODIES[-1], outlinks=[])
+        assert page.words.typecode == "I" and len(page.words) == 70_000
+
+    def test_saved_world_of_odd_bodies_loads_to_same_digest(self, tmp_path):
+        world = make_world([(f"http://x.sim/p{i}", i % 2 == 0, f"title {i}", body, [])
+                            for i, body in enumerate(BODIES)])
+        path = tmp_path / "world.jsonl"
+        save_world(world, path)
+        loaded = load_world(path)
+        assert [page.body for page in loaded.pages.values()] == BODIES
+        assert world_digest(loaded) == world_digest(world)
