@@ -46,22 +46,14 @@ class SimWorldParams:
 
 
 # Every word of every page body, by id, for all worlds alike. The table only
-# grows, so an id keeps its word for the life of the process. A body holds
-# array('H') of ids while they fit 16 bits, array('I') after.
+# grows, so an id keeps its word for the life of the process.
 _WORDS = []
 _WORD_IDS = {}
 
 
-def _pack(ids):
-    """ids as an array of the narrower unsigned type that holds them."""
-    try:
-        return array("H", ids)
-    except OverflowError:
-        return array("I", ids)
-
-
 def _encode(text):
-    """The ids of text.split(" "), which " ".join inverts for any string."""
+    """The ids of text.split(" "), which " ".join inverts for any string, as
+    array('H') while they fit 16 bits and array('I') after."""
     ids = []
     for word in text.split(" "):
         wid = _WORD_IDS.get(word)
@@ -69,7 +61,10 @@ def _encode(text):
             wid = _WORD_IDS[word] = len(_WORDS)
             _WORDS.append(word)
         ids.append(wid)
-    return _pack(ids)
+    try:
+        return array("H", ids)
+    except OverflowError:
+        return array("I", ids)
 
 
 @dataclass(slots=True, init=False)
@@ -84,17 +79,15 @@ class SimPage:
     outlinks: list  # (url, anchor)
 
     def __init__(self, url, domain, relevant, title, body, outlinks):
-        self.url, self.domain, self.relevant, self.title = url, domain, relevant, title
-        self.words = _encode(body)
-        self.outlinks = outlinks
+        self.url, self.domain, self.relevant, self.title, self.words, self.outlinks = (
+            url, domain, relevant, title, _encode(body), outlinks)
 
     @classmethod
     def from_words(cls, url, domain, relevant, title, words, outlinks):
         """A page whose body is the given word ids."""
         page = cls.__new__(cls)
-        page.url, page.domain, page.relevant, page.title = url, domain, relevant, title
-        page.words = words
-        page.outlinks = outlinks
+        page.url, page.domain, page.relevant, page.title, page.words, page.outlinks = (
+            url, domain, relevant, title, words, outlinks)
         return page
 
     @property
@@ -215,7 +208,7 @@ def generate_sim_world(params: SimWorldParams, seed: int) -> SimWorld:
         kw_mean = params.body_kw_mean if relevant[i] else params.noise_kw_mean
         n_kw = int(rng.poisson(kw_mean))
         for _ in range(min(n_kw, params.body_len)):
-            # the keyword is drawn before its position, as in `a[pos()] = kw()`
+            # the keyword is drawn first: an assignment evaluates its right side first
             body[int(rng.integers(0, params.body_len))] = \
                 keyword_ids[int(rng.integers(0, len(keywords)))]
         bodies.append(array(vocab.typecode, body.tobytes()))
