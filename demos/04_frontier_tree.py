@@ -11,7 +11,7 @@ bounded by the leaf count, not the frontier size.
 import numpy as np
 
 from treecrawl import QNetwork, TreeFrontier
-from treecrawl.frontier_tree import FrontierEntry, best_split
+from treecrawl.frontier_tree import FrontierBlock, best_split
 
 rng = np.random.default_rng(3)
 
@@ -27,9 +27,8 @@ for t in range(400):
     # synthetic experience: reward correlates with two of the eight features
     x = rng.uniform(size=8)
     reward = float(rng.random() < 0.8 * x[5] + 0.2 * x[6])
-    entries = [FrontierEntry(x=rng.uniform(size=8), url=f"http://d{t}.sim/p{t}-{j}",
-                             parent=None)
-               for j in range(5)]
+    entries = FrontierBlock(rng.uniform(size=(5, 8)),
+                            [f"http://d{t}.sim/p{t}-{j}" for j in range(5)], None)
     frontier_added += len(entries)
     selected, info = tree.update((x, reward), entries, "greedy", qnet, rng)
     if t in (0, 24, 99, 399):

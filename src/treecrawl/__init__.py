@@ -11,8 +11,8 @@ from .graph import (CrawlGraph, OutlinkCandidate, build_state_action,
                     build_state_actions, seed_state_action)
 from .qlearn import (AgentConfig, QNetwork, ReplayBatch, ReplayBuffer, ReplayRecord,
                      ddqn_target, seed_replay, train_step)
-from .frontier_tree import (FlatFrontier, FrontierEntry, FrontierExhaustedError,
-                            TreeFrontier, best_split)
+from .frontier_tree import (FlatFrontier, FrontierBlock, FrontierEntry,
+                            FrontierExhaustedError, TreeFrontier, best_split)
 from .fetch import FetchFailure, LiveFetcher, Page, SimFetcher
 from .simworld import (SimWorld, SimWorldParams, generate_sim_world, load_world,
                        save_world, training_corpus, world_digest)

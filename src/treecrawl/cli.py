@@ -125,12 +125,13 @@ def _config_from_args(args):
         if given:
             raise ConfigError("--from-manifest replays the manifest's config and takes "
                               f"no other crawl flag but --out; got {', '.join(given)}")
+        source = f"--from-manifest file {args.from_manifest}"
         with open(args.from_manifest, encoding="utf-8") as fh:
             manifest = json.load(fh)
         config = manifest.get("config") if isinstance(manifest, dict) else None
         if not isinstance(config, dict):
-            raise ConfigError(f"--from-manifest file {args.from_manifest} must hold a "
-                              "manifest object with a \"config\" object")
+            raise ConfigError(f"{source} must hold a manifest object with a "
+                              "\"config\" object")
     else:
         seeds = []
         if args.seeds:
@@ -152,16 +153,21 @@ def _config_from_args(args):
             "model": args.model,
             "keywords": args.keywords,
         }
+        source = "the command line"
         config_path = args.config or os.environ.get("TREECRAWL_CONFIG")
         if config_path:
+            source = ("--config" if args.config else "TREECRAWL_CONFIG") + f" file {config_path}"
             with open(config_path, encoding="utf-8") as fh:
                 overrides = json.load(fh)
             if not isinstance(overrides, dict):
-                source = "--config" if args.config else "TREECRAWL_CONFIG"
-                raise ConfigError(f"{source} file {config_path} must hold a JSON object "
-                                  f"of CrawlConfig fields, not {json.dumps(overrides)[:40]}")
+                raise ConfigError(f"{source} must hold a JSON object of CrawlConfig "
+                                  f"fields, not {json.dumps(overrides)[:40]}")
             config.update(overrides)
     inputs = {key: config.pop(key, None) for key in ("world", "model", "keywords")}
+    for key, value in inputs.items():
+        if not (value is None or isinstance(value, str)):
+            raise ConfigError(f"{source}: {key} must be a file path string or null, "
+                              f"not {json.dumps(value)[:40]}")
     return inputs, config
 
 

@@ -240,7 +240,7 @@ def crawl(config: CrawlConfig, fetcher, model, keywords) -> CrawlResult:
     steps = []
     status = "completed"
     pending_experience = None
-    pending_entries = ()
+    pending_entries = None
 
     for t in range(config.budget):
         epsilon = agent.epsilon(t, config.budget)
@@ -278,7 +278,7 @@ def crawl(config: CrawlConfig, fetcher, model, keywords) -> CrawlResult:
             r = 0
         graph.register_fetch(entry.parent, url, r)
 
-        new_entries = []
+        new_entries = None
         if page is not None:
             new_entries = _outlink_entries(graph, url, page, model, keywords, hub)
 

@@ -62,8 +62,6 @@ class _Store:
     Each URL gets an integer id when it is first seen. Row i holds features
     x[i], URL id url[i] and the parent's URL id parent[i] (-1 for None). Rows
     never move: an entry leaves the frontier when its leaf forgets the row id.
-    An entry inserted as a FrontierEntry object is kept, and handed back as
-    that same object.
 
     fetched (per URL id), domain (per URL id) and domain_fetches (per domain
     id) mirror a dead rule's fetch log for array lookups; they are brought up
@@ -75,7 +73,6 @@ class _Store:
         self.x = np.empty((0, 0))
         self.url = array("q")
         self.parent = array("q")
-        self.given = {}  # row -> the FrontierEntry inserted as that row
         self.ids = {}  # URL -> id
         self.urls = []  # id -> URL
         self.fetched = np.zeros(0, bool)
@@ -91,23 +88,20 @@ class _Store:
             self.urls.append(url)
         return uid
 
-    def append(self, x, urls, parents):
-        """Append one row per URL; returns the first new row id."""
+    def append(self, block):
+        """Append one row per entry of the block; returns the first new row id."""
         first = self.n
-        self.n = first + len(urls)
+        self.n = first + len(block)
         if first == 0:
-            self.x = np.empty((0, x.shape[1]))
+            self.x = np.empty((0, block.x.shape[1]))
         self.x = _room(self.x, self.n)
-        self.x[first:self.n] = x
-        self.url.extend([self.url_id(u) for u in urls])
-        self.parent.extend([-1 if p is None else self.url_id(p) for p in parents])
+        self.x[first:self.n] = block.x
+        self.url.extend([self.url_id(u) for u in block.urls])
+        parent = -1 if block.parent is None else self.url_id(block.parent)
+        self.parent.extend([parent] * len(block))
         return first
 
     def entry(self, row):
-        if self.given:
-            given = self.given.get(row)
-            if given is not None:
-                return given
         parent = self.parent[row]
         return FrontierEntry(self.x[row], self.urls[self.url[row]],
                              None if parent < 0 else self.urls[parent])
@@ -129,7 +123,7 @@ class _Store:
 
 def _variance_reduction(n, k, sl, ssl, total_sum, total_ss, var_parent):
     """Reward-variance reduction of putting the first k of n sorted rows on the
-    left, given the left rewards' sum sl and sum of squares ssl.
+    left, from the left rewards' sum sl and sum of squares ssl.
 
     Works on scalars and, elementwise, on arrays. The results can differ in
     the last bits: numpy squares an array by multiplication but a scalar with
@@ -344,21 +338,12 @@ class TreeFrontier:
         self._leaves[left.leaf_id] = left
         self._leaves[right.leaf_id] = right
 
-    def insert_frontier(self, entries):
-        """Add frontier entries: a FrontierBlock, or an iterable of
-        FrontierEntry, which the frontier hands back as the same objects."""
+    def insert_frontier(self, block):
+        """Add the entries of a FrontierBlock (None adds none)."""
+        if not block:
+            return
         store = self._store
-        if isinstance(entries, FrontierBlock):
-            if not len(entries):
-                return
-            first = store.append(entries.x, entries.urls, [entries.parent] * len(entries))
-        else:
-            entries = list(entries)
-            if not entries:
-                return
-            first = store.append(np.array([e.x for e in entries], dtype=np.float64),
-                                 [e.url for e in entries], [e.parent for e in entries])
-            store.given.update(enumerate(entries, start=first))
+        first = store.append(block)
         for row, x in enumerate(store.x[first:store.n].tolist(), start=first):
             leaf = self._route(x)
             if not leaf.rows:
@@ -375,7 +360,6 @@ class TreeFrontier:
         if not rows:
             del self._stocked[leaf.leaf_id]
         self.frontier_size -= 1
-        self._store.given.pop(row, None)
         return row
 
     def _draw_from_leaf(self, leaf, rng, dead):
@@ -402,14 +386,10 @@ class TreeFrontier:
         return reps
 
     def _dead_rows(self, rows, dead):
-        """Mask of the rows whose entries dead() rules out. A rule with an
-        array form (fetched_since and dead_rows) is applied through lookups
-        in the store's fetched flags and domain fetch counts."""
+        """Mask of the rows whose entries the DeadRule rules out, through
+        lookups in the store's fetched flags and domain fetch counts."""
         store = self._store
         url_ids = np.frombuffer(store.url, dtype=np.int64)[rows]
-        if not hasattr(dead, "dead_rows"):
-            return np.fromiter((dead(store.urls[u]) for u in url_ids.tolist()),
-                               dtype=bool, count=len(rows))
         store.catch_up(dead.fetched_since(store.n_fetched))
         return dead.dead_rows(store.fetched[url_ids],
                               store.domain_fetches[store.domain[url_ids]])
@@ -434,9 +414,6 @@ class TreeFrontier:
             leaf.rows = array("q", rows[own][~gone[own]].tobytes())
             if not leaf.rows:
                 del self._stocked[leaf.leaf_id]
-        given = self._store.given
-        for row in rows[gone].tolist() if given else ():
-            given.pop(row, None)
         self.frontier_size -= int(gone.sum())
         leaves = [leaf for leaf in leaves if leaf.rows]
         return leaves, [len(leaf.rows) for leaf in leaves], rows[~gone]
@@ -444,8 +421,9 @@ class TreeFrontier:
     def update(self, e_new, f_new, mode, qnet, rng, dead=None):
         """One timestep: absorb the newest samples, then pick a frontier entry.
 
-        e_new is an optional (x, reward) pair; f_new is a FrontierBlock or an
-        iterable of FrontierEntry. The candidates are the leaf
+        e_new is an optional (x, reward) pair; f_new is an optional
+        FrontierBlock; dead is an optional DeadRule (crawler.py), whose
+        entries can never be selected again. The candidates are the leaf
         representatives, or in synchronous mode every live entry once the
         dead ones are dropped (leaves in id order, then position in the
         leaf), the brute-force contrast that measures what the
@@ -513,13 +491,13 @@ class TreeFrontier:
 
 
 class FlatFrontier(TreeFrontier):
-    """A flat pool's insert and select on a tree never given an experience, so
+    """A flat pool's insert and select on a tree that gets no experience, so
     select is a uniform draw over its single leaf. crawl() does not build it;
     it is kept only because the crawl benchmark's tracer patches both names."""
 
-    def insert(self, entries):
-        self.insert_frontier(entries)
+    def insert(self, block):
+        self.insert_frontier(block)
 
     def select(self, rng, dead=None) -> FrontierEntry:
-        entry, _ = self.update(None, (), "explore", None, rng, dead)
+        entry, _ = self.update(None, None, "explore", None, rng, dead)
         return entry

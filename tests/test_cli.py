@@ -224,6 +224,28 @@ class TestCrawlCommand:
         assert route in err and "JSON object of CrawlConfig fields" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("route", ["--config", "--from-manifest"])
+    @pytest.mark.parametrize("key", ["world", "model", "keywords"])
+    @pytest.mark.parametrize("value", [True, 1, ["kw.txt"]])
+    def test_input_paths_must_be_strings(self, pipeline, tmp_path, capsys, route, key,
+                                         value):
+        path = tmp_path / "in.json"
+        if route == "--config":
+            path.write_text(json.dumps({key: value}))
+            extra = ("--world", pipeline["world"], "--model", pipeline["model"])
+        else:
+            config = {"seeds": ["http://d0.sim/"], "budget": 5, "world": pipeline["world"],
+                      "model": pipeline["model"], "keywords": None, key: value}
+            path.write_text(json.dumps({"config": config}))
+            extra = ()
+        out = tmp_path / "runs"
+        capsys.readouterr()
+        rc = run_cli("crawl", *extra, route, str(path), "--out", str(out))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{route} file {path}: {key} must be a file path string or null" in err
+        assert not out.exists()
+
     def test_agent_config_reaches_crawl_and_replays(self, pipeline, tmp_path):
         common = ("crawl", "--mode", "sim", "--world", pipeline["world"],
                   "--model", pipeline["model"], "--budget", "30",

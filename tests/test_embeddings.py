@@ -210,6 +210,18 @@ class TestKeywordFiles:
         ks = load_keywords(path)
         assert ks.initial == {"football", "league", "cup"}
 
+    @pytest.mark.parametrize("text, line_no, word", [
+        ("# topic\nMachine Learning\n", 2, "machine learning"),
+        ("football\n\nc++  # language\n", 3, "c++"),
+    ])
+    def test_keyword_that_no_page_token_can_match_refused(self, tmp_path, text, line_no,
+                                                          word):
+        path = tmp_path / "kw.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            load_keywords(path)
+        assert f"{path}: line {line_no}: keyword {word!r} is not a single token" in str(err.value)
+
     def test_save_then_load(self, tmp_path):
         ks = KeywordSet(frozenset({"a", "b"}), frozenset({"c"}))
         path = tmp_path / "kw.txt"

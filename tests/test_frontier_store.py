@@ -162,19 +162,23 @@ def _same_entry(a, b):
 
 
 def _drive(seed, modes, cap, rule, steps=300, d=3):
-    """Run both trees through one random sequence and compare after every step."""
+    """Run both trees through one random sequence and compare after every step.
+
+    The store always gets a DeadRule (or none). With rule "dead_rule" the
+    reference calls that same rule once per entry; with rule "lambda" it gets
+    an independent plain rule over the same graph.
+    """
     rng = np.random.default_rng(seed)
     store, ref = TreeFrontier(), ReferenceTree()
     rng_store, rng_ref = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
     q_store, q_ref = _RecordingQ(d), _RecordingQ(d)
     graph = CrawlGraph()
-    if rule == "dead_rule":
-        dead = DeadRule(graph, cap)
-    elif rule == "lambda":
-        dead = lambda url: url in graph or (  # noqa: E731
+    dead = dead_ref = None
+    if rule != "none":
+        dead = dead_ref = DeadRule(graph, cap)
+    if rule == "lambda":
+        dead_ref = lambda url: url in graph or (  # noqa: E731
             cap is not None and graph.domain_stats.get(url.split("/")[2], [0])[0] >= cap)
-    else:
-        dead = None
     urls = [f"http://d{i % 20}.sim/p{i}" for i in range(300)]  # duplicates and shared domains
     picks = 0
     for t in range(steps):
@@ -186,20 +190,17 @@ def _drive(seed, modes, cap, rule, steps=300, d=3):
         x = np.round(rng.uniform(size=(k, d)), 2)  # repeated values exercise split ties
         page = [str(u) for u in rng.choice(urls, size=k)]
         ref_entries = [FrontierEntry(x=row.copy(), url=u, parent=parent) for row, u in zip(x, page)]
-        if t % 2:
-            f_new = FrontierBlock(x, page, parent)
-        else:
-            f_new = [FrontierEntry(x=row.copy(), url=u, parent=parent) for row, u in zip(x, page)]
+        f_new = FrontierBlock(x, page, parent)
         if rng.random() < 0.05:  # fetched outside the frontier, as seeds are
             outside = str(rng.choice(urls))
             if outside not in graph:
                 graph.register_fetch(None, outside, 0)
         mode = modes[int(rng.integers(0, len(modes)))]
         outcome = []
-        for tree, r, q, new in ((store, rng_store, q_store, f_new),
-                                (ref, rng_ref, q_ref, ref_entries)):
+        for tree, r, q, new, rule_of in ((store, rng_store, q_store, f_new, dead),
+                                         (ref, rng_ref, q_ref, ref_entries, dead_ref)):
             try:
-                outcome.append(tree.update(e_new, new, mode, q, r, dead))
+                outcome.append(tree.update(e_new, new, mode, q, r, rule_of))
             except FrontierExhaustedError:
                 outcome.append(None)
         assert (outcome[0] is None) == (outcome[1] is None), t
@@ -235,8 +236,8 @@ def test_block_rows_keep_no_entry_objects():
     tree = TreeFrontier()
     x = np.array([[0.1, 0.2], [0.3, 0.4]])
     tree.insert_frontier(FrontierBlock(x, ["http://a.com/1", "http://b.com/2"], "http://a.com/"))
-    assert tree._store.given == {} and tree.frontier_size == 2
-    picked, _ = tree.update(None, (), "explore", None, np.random.default_rng(0))
+    assert tree.frontier_size == 2
+    picked, _ = tree.update(None, None, "explore", None, np.random.default_rng(0))
     assert picked.parent == "http://a.com/" and picked.url in ("http://a.com/1", "http://b.com/2")
     assert not hasattr(picked, "__dict__")
     x[:] = 9.0  # the store holds its own copy of the block

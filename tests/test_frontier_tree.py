@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from treecrawl.frontier_tree import (FlatFrontier, FrontierEntry,
+from treecrawl.crawler import DeadRule
+from treecrawl.frontier_tree import (FlatFrontier, FrontierBlock, FrontierEntry,
                                      FrontierExhaustedError, TreeFrontier,
                                      best_split)
+from treecrawl.graph import CrawlGraph
 
 
 def oracle_best_split(X, y):
@@ -101,6 +103,24 @@ def crawl_shaped_rewards(rng, n):
 
 def entry(x, url="http://x.com/a", parent="http://x.com/s"):
     return FrontierEntry(x=np.asarray(x, dtype=float), url=url, parent=parent)
+
+
+def block(entries):
+    """The entries, which share one parent, as the FrontierBlock of one page."""
+    (parent,) = {e.parent for e in entries}
+    return FrontierBlock(np.array([e.x for e in entries]), [e.url for e in entries], parent)
+
+
+def same(a, b):
+    return a.url == b.url and a.parent == b.parent and np.array_equal(a.x, b.x)
+
+
+def dead_rule(*fetched, cap=None):
+    """A DeadRule over a crawl graph that holds the given fetches."""
+    graph = CrawlGraph()
+    for url in fetched:
+        graph.register_fetch(None, url, 0)
+    return DeadRule(graph, cap)
 
 
 def leaf_predicates(tree, target_leaf):
@@ -209,8 +229,8 @@ class TestInsertExperience:
 
     def test_fixture_split_and_rerouting(self):
         tree = TreeFrontier()
-        tree.insert_frontier([entry([0.3], url="http://x.com/l"),
-                              entry([0.7], url="http://x.com/r")])
+        tree.insert_frontier(block([entry([0.3], url="http://x.com/l"),
+                                    entry([0.7], url="http://x.com/r")]))
         split_seen = False
         for x, r in zip(FIXTURE_X, FIXTURE_Y):
             split_seen = tree.insert_experience(x, r) or split_seen
@@ -304,14 +324,14 @@ class TestInsertExperience:
 class TestInsertFrontier:
     def test_single_root_leaf(self):
         tree = TreeFrontier()
-        tree.insert_frontier([entry([0.2]), entry([0.9])])
+        tree.insert_frontier(block([entry([0.2]), entry([0.9])]))
         assert len(tree.root.frontier) == 2
 
     def test_boundary_routes_right(self):
         tree = TreeFrontier()
         for x, r in zip(FIXTURE_X, FIXTURE_Y):
             tree.insert_experience(x, r)
-        tree.insert_frontier([entry([0.5], url="http://x.com/edge")])
+        tree.insert_frontier(block([entry([0.5], url="http://x.com/edge")]))
         assert [e.url for e in tree.root.right.frontier] == ["http://x.com/edge"]
 
     def test_random_entries_satisfy_predicates(self):
@@ -321,7 +341,7 @@ class TestInsertFrontier:
             tree.insert_experience(rng.uniform(size=5), float(rng.integers(0, 2)))
         entries = [entry(rng.uniform(size=5), url=f"http://x.com/{i}")
                    for i in range(500)]
-        tree.insert_frontier(entries)
+        tree.insert_frontier(block(entries))
         total = 0
         for leaf in tree.leaves():
             predicates = leaf_predicates(tree, leaf)
@@ -335,14 +355,14 @@ class TestRepresentatives:
     def test_single_entry(self):
         tree = TreeFrontier()
         e = entry([0.5])
-        tree.insert_frontier([e])
+        tree.insert_frontier(block([e]))
         reps = tree.sample_representatives(np.random.default_rng(0))
-        assert len(reps) == 1 and tree._store.entry(reps[0][2]) is e
+        assert len(reps) == 1 and same(tree._store.entry(reps[0][2]), e)
 
     def test_uniform_within_leaf(self):
         tree = TreeFrontier()
         urls = [f"http://x.com/{c}" for c in "abcd"]
-        tree.insert_frontier([entry([0.5], url=u) for u in urls])
+        tree.insert_frontier(block([entry([0.5], url=u) for u in urls]))
         rng = np.random.default_rng(6)
         counts = {u: 0 for u in urls}
         n = 100_000
@@ -360,8 +380,8 @@ class TestRepresentatives:
         leaves = tree.leaves()
         assert len(leaves) >= 5
         # a leaf's own experience routes back to it
-        tree.insert_frontier([entry(leaf.exp_x[0], url=f"http://x.com/{leaf.leaf_id}")
-                              for leaf in leaves[:3]])
+        tree.insert_frontier(block([entry(leaf.exp_x[0], url=f"http://x.com/{leaf.leaf_id}")
+                                    for leaf in leaves[:3]]))
         reps = tree.sample_representatives(np.random.default_rng(8))
         assert len(reps) == 3
 
@@ -396,9 +416,9 @@ class TestUpdate:
             tree = TreeFrontier()
             e = entry([0.5], url="http://x.com/only")
             qnet = _UrlQ(lambda row: 0.0)
-            selected, info = tree.update(None, [e], mode, qnet,
+            selected, info = tree.update(None, block([e]), mode, qnet,
                                          np.random.default_rng(0))
-            assert selected is e
+            assert same(selected, e)
             assert tree.frontier_size == 0
             assert info.frontier_size == 1
 
@@ -410,7 +430,7 @@ class TestUpdate:
         qvals = {"http://x.com/q1": 0.1, "http://x.com/q7": 0.7, "http://x.com/q3": 0.3}
         # representatives are one per leaf: left leaf holds q1/q7, right q3
         rng = np.random.default_rng(1)
-        tree.insert_frontier(entries)
+        tree.insert_frontier(block(entries))
         before = len(tree.root.left.frontier)
 
         def q_of(row):
@@ -419,7 +439,7 @@ class TestUpdate:
                     return qvals[e.url]
             raise KeyError(row)
 
-        selected, info = tree.update(None, [], "greedy", _UrlQ(q_of), rng)
+        selected, info = tree.update(None, None, "greedy", _UrlQ(q_of), rng)
         assert selected.url in ("http://x.com/q1", "http://x.com/q7", "http://x.com/q3")
         # the representative of the left leaf is drawn uniformly; whichever it
         # was, the selection is the argmax among the representatives
@@ -438,8 +458,8 @@ class TestUpdate:
             tree = self.build_two_leaf_tree()
             entries = [entry([0.1], url="http://x.com/left")]
             entries += [entry([0.8], url=f"http://x.com/right{i}") for i in range(9)]
-            tree.insert_frontier(entries)
-            selected, _ = tree.update(None, [], "explore", None, rng)
+            tree.insert_frontier(block(entries))
+            selected, _ = tree.update(None, None, "explore", None, rng)
             picks["left" if selected.url == "http://x.com/left" else "right"] += 1
         frac_left = picks["left"] / 4000
         assert abs(frac_left - 0.5) < 0.03  # leaf-uniform, not entry-uniform
@@ -447,7 +467,7 @@ class TestUpdate:
     def test_exhaustion_raises(self):
         tree = TreeFrontier()
         with pytest.raises(FrontierExhaustedError):
-            tree.update(None, [], "explore", None, np.random.default_rng(0))
+            tree.update(None, None, "explore", None, np.random.default_rng(0))
 
     def test_lazy_invalidation_purges_fetched(self):
         # dead entry alone in the left leaf: sampling must encounter it,
@@ -455,20 +475,20 @@ class TestUpdate:
         tree = self.build_two_leaf_tree()
         dead = entry([0.1], url="http://x.com/dead")
         live = entry([0.8], url="http://x.com/live")
-        tree.insert_frontier([dead, live])
-        selected, info = tree.update(None, [], "explore", None,
+        tree.insert_frontier(block([dead, live]))
+        selected, info = tree.update(None, None, "explore", None,
                                      np.random.default_rng(3),
-                                     dead=lambda u: u == "http://x.com/dead")
-        assert selected is live
+                                     dead=dead_rule("http://x.com/dead"))
+        assert same(selected, live)
         assert info.n_representatives == 1
         assert tree.frontier_size == 0  # dead purged, live removed by selection
 
     def test_saturated_leaf_yields_no_representative(self):
         tree = self.build_two_leaf_tree()
-        tree.insert_frontier([entry([0.1], url="http://full.com/a"),
-                              entry([0.8], url="http://open.com/b")])
-        saturated = lambda url: url.startswith("http://full.com")
-        selected, info = tree.update(None, [], "explore", None,
+        tree.insert_frontier(block([entry([0.1], url="http://full.com/a"),
+                                    entry([0.8], url="http://open.com/b")]))
+        saturated = dead_rule("http://full.com/", cap=1)
+        selected, info = tree.update(None, None, "explore", None,
                                      np.random.default_rng(4),
                                      dead=saturated)
         assert selected.url == "http://open.com/b"
@@ -480,17 +500,21 @@ class TestUpdate:
         # meets a saturated entry drops it instead of rechecking it later.
         full = [entry([0.5], url=f"http://full.com/{i}") for i in range(30)]
         tree = TreeFrontier()
-        tree.insert_frontier(full + [entry([0.5], url=f"http://open.com/{i}")
-                                     for i in range(30)])
+        tree.insert_frontier(block(full + [entry([0.5], url=f"http://open.com/{i}")
+                                           for i in range(30)]))
         checks = {}
 
-        def saturated(url):
-            checks[url] = checks.get(url, 0) + 1
-            return url.startswith("http://full.com")
+        class CountingRule(DeadRule):
+            def __call__(self, url):
+                checks[url] = checks.get(url, 0) + 1
+                return super().__call__(url)
 
+        graph = CrawlGraph()
+        graph.register_fetch(None, "http://full.com/", 0)
+        saturated = CountingRule(graph, 1)
         rng = np.random.default_rng(14)
         for i in range(40):
-            selected, _ = tree.update(None, [entry([0.5], url=f"http://new.com/{i}")],
+            selected, _ = tree.update(None, block([entry([0.5], url=f"http://new.com/{i}")]),
                                       "explore", None, rng, dead=saturated)
             assert not selected.url.startswith("http://full.com")
         counts = [checks.get(e.url, 0) for e in full]
@@ -499,22 +523,22 @@ class TestUpdate:
 
     def test_all_saturated_exhausts(self):
         tree = TreeFrontier()
-        tree.insert_frontier([entry([0.5], url="http://full.com/a")])
+        tree.insert_frontier(block([entry([0.5], url="http://full.com/a")]))
         with pytest.raises(FrontierExhaustedError):
-            tree.update(None, [], "explore", None, np.random.default_rng(5),
-                        dead=lambda u: True)
+            tree.update(None, None, "explore", None, np.random.default_rng(5),
+                        dead=dead_rule("http://full.com/", cap=1))
 
     @pytest.mark.parametrize("mode, qnet", [("bogus", _UrlQ(lambda row: 0.0)),
                                             ("greedy", None), ("synchronous", None)])
     def test_bad_call_leaves_tree_untouched(self, mode, qnet):
         tree = self.build_two_leaf_tree()
-        tree.insert_frontier([entry([x], url=f"http://x.com/{x}") for x in (0.1, 0.9)])
+        tree.insert_frontier(block([entry([x], url=f"http://x.com/{x}") for x in (0.1, 0.9)]))
         rng = np.random.default_rng(3)
         before = (tree.frontier_size, tree.leaf_count, tree.n_experience,
                   rng.bit_generator.state)
         with pytest.raises(ValueError):
-            tree.update(([0.8], 1.0), [entry([0.2], url="http://x.com/new")], mode,
-                        qnet, rng, dead=lambda u: u == "http://x.com/0.1")
+            tree.update(([0.8], 1.0), block([entry([0.2], url="http://x.com/new")]), mode,
+                        qnet, rng, dead=dead_rule("http://x.com/0.1"))
         assert (tree.frontier_size, tree.leaf_count, tree.n_experience,
                 rng.bit_generator.state) == before
 
@@ -524,8 +548,8 @@ class TestUpdate:
         counts = []
         for i in range(300):
             e_new = (rng.uniform(size=3), float(rng.integers(0, 2)))
-            f_new = [entry(rng.uniform(size=3), url=f"http://x.com/{i}-{j}")
-                     for j in range(3)]
+            f_new = block([entry(rng.uniform(size=3), url=f"http://x.com/{i}-{j}")
+                           for j in range(3)])
             before = tree.leaf_count
             tree.update(e_new, f_new, "explore", None, rng)
             counts.append(tree.leaf_count - before)
@@ -547,8 +571,8 @@ class TestSynchronous:
         total = 0
         for i in range(50):
             e_new = (rng.uniform(size=3), float(rng.integers(0, 2)))
-            f_new = [entry(rng.uniform(size=3), url=f"http://x.com/{i}-{j}")
-                     for j in range(4)]
+            f_new = block([entry(rng.uniform(size=3), url=f"http://x.com/{i}-{j}")
+                           for j in range(4)])
             before = tree.q_evaluations
             _, info = self.sync(tree, e_new, f_new, qnet)
             assert info.q_evaluations == info.frontier_size
@@ -566,8 +590,9 @@ class TestSynchronous:
                 tree.insert_experience(rng2.uniform(size=3), float(rng2.integers(0, 2)))
             # exactly one frontier entry per leaf: a leaf's own experience
             # routes back to it
-            tree.insert_frontier([entry(leaf.exp_x[0].copy(), url=f"http://x.com/{leaf.leaf_id}")
-                                  for leaf in tree.leaves()])
+            tree.insert_frontier(block([entry(leaf.exp_x[0].copy(),
+                                              url=f"http://x.com/{leaf.leaf_id}")
+                                        for leaf in tree.leaves()]))
             assert all(len(leaf.frontier) == 1 for leaf in tree.leaves())
             return tree
 
@@ -576,18 +601,18 @@ class TestSynchronous:
         rng2 = np.random.default_rng(10)
         tree_b = build()
         assert tree_a.leaf_count == tree_b.leaf_count >= 3
-        picked_a, _ = tree_a.update(None, [], "greedy", qnet, np.random.default_rng(11))
-        picked_b, _ = self.sync(tree_b, None, [], qnet)
+        picked_a, _ = tree_a.update(None, None, "greedy", qnet, np.random.default_rng(11))
+        picked_b, _ = self.sync(tree_b, None, None, qnet)
         assert picked_a.url == picked_b.url
 
     def test_saturated_entries_dropped_for_good(self):
         tree = TreeFrontier()
         full = [entry([0.9], url=f"http://full.com/{i}") for i in range(5)]
         open_ = [entry([0.1 * i], url=f"http://open.com/{i}") for i in range(4)]
-        tree.insert_frontier(full + open_)
-        saturated = lambda url: url.startswith("http://full.com")
+        tree.insert_frontier(block(full + open_))
+        saturated = dead_rule("http://full.com/", cap=1)
         qnet = _UrlQ(lambda row: float(row[0]))
-        selected, info = self.sync(tree, None, [], qnet, dead=saturated)
+        selected, info = self.sync(tree, None, None, qnet, dead=saturated)
         assert selected.url == "http://open.com/3"  # full.com scores higher
         assert info.frontier_size == 4  # the five saturated entries are gone
         assert info.q_evaluations == info.frontier_size
@@ -596,9 +621,10 @@ class TestSynchronous:
 
     def test_all_saturated_exhausts(self):
         tree = TreeFrontier()
-        tree.insert_frontier([entry([0.5], url=f"http://full.com/{i}") for i in range(3)])
+        tree.insert_frontier(block([entry([0.5], url=f"http://full.com/{i}") for i in range(3)]))
         with pytest.raises(FrontierExhaustedError):
-            self.sync(tree, None, [], _UrlQ(lambda row: 0.0), dead=lambda u: True)
+            self.sync(tree, None, None, _UrlQ(lambda row: 0.0),
+                      dead=dead_rule("http://full.com/", cap=1))
         assert tree.frontier_size == 0
 
 
@@ -616,8 +642,8 @@ class TestDeterminism:
         qnet = _UrlQ(lambda row: float(row[0] - row[1]))
         for i in range(200):
             e_new = (rng.uniform(size=3), float(rng.integers(0, 2)))
-            f_new = [entry(rng.uniform(size=3), url=f"http://x.com/{i}-{j}")
-                     for j in range(3)]
+            f_new = block([entry(rng.uniform(size=3), url=f"http://x.com/{i}-{j}")
+                           for j in range(3)])
             mode = "greedy" if i % 3 == 0 else "explore"
             selected, _ = tree.update(e_new, f_new, mode, qnet, rng)
             selections.append(selected.url)
@@ -637,7 +663,7 @@ class TestFlatFrontier:
         counts = {}
         for _ in range(20_000):
             flat = FlatFrontier()
-            flat.insert([entry([0.0], url=f"http://x.com/{i}") for i in range(4)])
+            flat.insert(block([entry([0.0], url=f"http://x.com/{i}") for i in range(4)]))
             chosen = flat.select(rng)
             counts[chosen.url] = counts.get(chosen.url, 0) + 1
         for url, count in counts.items():
@@ -645,18 +671,18 @@ class TestFlatFrontier:
 
     def test_purge_and_exhaustion(self):
         flat = FlatFrontier()
-        flat.insert([entry([0.0], url="http://x.com/dead")])
+        flat.insert(block([entry([0.0], url="http://x.com/dead")]))
         with pytest.raises(FrontierExhaustedError):
-            flat.select(np.random.default_rng(0), dead=lambda u: True)
+            flat.select(np.random.default_rng(0), dead=dead_rule("http://x.com/dead"))
         assert flat.frontier_size == 0
 
     def test_saturated_dropped(self):
         flat = FlatFrontier()
-        flat.insert([entry([0.0], url="http://full.com/a"),
-                     entry([0.0], url="http://open.com/b")])
+        flat.insert(block([entry([0.0], url="http://full.com/a"),
+                           entry([0.0], url="http://open.com/b")]))
         # seed 1 draws the saturated entry first; the draw drops it
         chosen = flat.select(np.random.default_rng(1),
-                             dead=lambda u: u.startswith("http://full"))
+                             dead=dead_rule("http://full.com/", cap=1))
         assert chosen.url == "http://open.com/b"
         assert flat.frontier_size == 0
 
@@ -664,8 +690,8 @@ class TestFlatFrontier:
         rng = np.random.default_rng(13)
         flat = FlatFrontier()
         for i in range(30):
-            flat.insert([entry(rng.uniform(size=3), url=f"http://x.com/{i}-{j}")
-                         for j in range(3)])
+            flat.insert(block([entry(rng.uniform(size=3), url=f"http://x.com/{i}-{j}")
+                               for j in range(3)]))
             flat.select(rng)
             assert flat.leaf_count == 1
         assert flat.frontier_size == 60
@@ -677,7 +703,7 @@ class TestSnapshot:
         tree = TreeFrontier()
         for x, r in zip(FIXTURE_X, FIXTURE_Y):
             tree.insert_experience(x, r)
-        tree.insert_frontier([entry([0.3])])
+        tree.insert_frontier(block([entry([0.3])]))
         snap = tree.snapshot()
         assert snap["leaf_count"] == 2
         assert snap["frontier_size"] == 1
