@@ -90,12 +90,13 @@ def cmd_genworld(args) -> int:
         mean_out_degree=args.out_degree, communities=args.communities,
         domains=args.domains, hub_rate=args.hub_rate, seeds=args.n_seeds)
     world = generate_sim_world(params, seed=args.seed)
+    # Drawn before anything is written, so a bad corpus request writes nothing.
+    records = training_corpus(world, args.corpus_relevant, args.corpus_irrelevant,
+                              seed=args.seed) if args.corpus else None
     save_world(world, args.out)
     print(f"world: {params.pages} pages, {len(world.relevant_urls)} relevant, "
           f"seed urls {world.seed_urls} -> {args.out}")
     if args.corpus:
-        records = training_corpus(world, args.corpus_relevant, args.corpus_irrelevant,
-                                  seed=args.seed)
         with open(args.corpus, "w", encoding="utf-8") as fh:
             for record in records:
                 fh.write(json.dumps(record) + "\n")

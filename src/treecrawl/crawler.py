@@ -3,7 +3,6 @@ plus the uniform-random and tree-random baselines and run metrics."""
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass, field, asdict, fields
 
@@ -113,37 +112,6 @@ def enforce_max_domain(graph: CrawlGraph, url, max_visits) -> bool:
     return fetched < max_visits
 
 
-class DeadRule:
-    """The one rule for a frontier entry that can never be selected again: its
-    URL is fetched, or its domain has reached the crawl's fetch cap. Fetch
-    counts only grow and the cap is fixed for a crawl, so a dead entry stays
-    dead and the frontier may drop it for good.
-
-    Called with a URL, the rule answers for one entry. For many rows at once
-    the frontier keeps a fetched flag per URL and a fetch count per domain,
-    updated from fetched_since, and asks dead_rows.
-    """
-
-    def __init__(self, graph: CrawlGraph, cap):
-        self.graph = graph
-        self.cap = cap
-
-    def __call__(self, url):
-        return url in self.graph or (self.cap is not None
-                                     and not enforce_max_domain(self.graph, url, self.cap))
-
-    def fetched_since(self, n):
-        """The URLs fetched after the first n, in fetch order."""
-        nodes = self.graph.nodes  # a dict, in fetch order
-        return list(itertools.islice(reversed(nodes), len(nodes) - n))[::-1]
-
-    def dead_rows(self, fetched, domain_fetches):
-        """The rule over arrays of each row's fetched flag and domain fetch count."""
-        if self.cap is None:
-            return fetched
-        return fetched | (domain_fetches >= self.cap)
-
-
 def metrics(result: CrawlResult):
     """(harvest rate, relevant domain count, unique domain count) of a run.
 
@@ -204,7 +172,11 @@ def crawl(config: CrawlConfig, fetcher, model, keywords) -> CrawlResult:
     # keeps one leaf, so every draw is uniform over the whole frontier.
     learns = config.policy != "random"
     frontier = TreeFrontier()
-    dead = DeadRule(graph, config.max_domain_visits)
+
+    def register_fetch(parent, url, r):  # the frontier keeps the dead state
+        graph.register_fetch(parent, url, r)
+        frontier.mark_fetched(url, not enforce_max_domain(graph, url,
+                                                          config.max_domain_visits))
 
     # Seed bootstrap: seeds are treated as relevant and their outlinks form
     # the initial frontier, which enters the tree after the seed experience.
@@ -219,7 +191,7 @@ def crawl(config: CrawlConfig, fetcher, model, keywords) -> CrawlResult:
         except FetchFailure as exc:
             warnings.warn(f"seed fetch failed ({exc}); seed kept without outlinks")
             page = None
-        graph.register_fetch(None, url, 1)
+        register_fetch(None, url, 1)
         candidate = OutlinkCandidate(url=url, anchor="",
                                      title=page.title if page else "")
         seed_vectors.append(seed_state_action(candidate, model, keywords, hub_features=hub))
@@ -260,7 +232,7 @@ def crawl(config: CrawlConfig, fetcher, model, keywords) -> CrawlResult:
             mode = "explore"
         try:
             entry, info = frontier.update(pending_experience, pending_entries, mode,
-                                          online, rng_select, dead)
+                                          online, rng_select)
         except FrontierExhaustedError:
             status = "exhausted"
             break
@@ -276,7 +248,7 @@ def crawl(config: CrawlConfig, fetcher, model, keywords) -> CrawlResult:
             r = reward_of(model, page_text, keywords)
         else:
             r = 0
-        graph.register_fetch(entry.parent, url, r)
+        register_fetch(entry.parent, url, r)
 
         new_entries = None
         if page is not None:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .text import DEFAULT_STOPWORDS, tokenize
+from .text import DEFAULT_STOPWORDS, read_words
 
 
 class EmbeddingParseError(ValueError):
@@ -132,20 +132,8 @@ def save_keywords(keywords: KeywordSet, path, scores=None):
 
 
 def load_keywords(path) -> KeywordSet:
-    """Read one keyword per line; '#' starts a comment. All tokens become initial
-    keywords. A keyword must be a single page token, since only those can match."""
-    tokens = set()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            word = line.split("#", 1)[0].strip().lower()
-            if not word:
-                continue
-            if tokenize(word) != [word]:
-                raise ValueError(f"{path}: line {line_no}: keyword {word!r} is not a single "
-                                 f"token (it tokenizes to {tokenize(word)}), so it can "
-                                 "never match a page")
-            tokens.add(word)
-    return KeywordSet(initial=frozenset(tokens))
+    """Read one keyword per line, as read_words does; all become initial keywords."""
+    return KeywordSet(initial=read_words(path, "keyword"))
 
 
 def cosine(u, v) -> float:

@@ -43,6 +43,13 @@ class FrontierBlock:
     urls: list
     parent: str | None
 
+    def __post_init__(self):
+        if not (isinstance(self.x, np.ndarray) and self.x.ndim == 2
+                and len(self.x) == len(self.urls)):
+            raise ValueError(f"a block of {len(self.urls)} URLs needs a ({len(self.urls)}, d) "
+                             f"feature array, got {type(self.x).__name__} of shape "
+                             f"{np.shape(self.x)}")
+
     def __len__(self):
         return len(self.urls)
 
@@ -63,9 +70,9 @@ class _Store:
     x[i], URL id url[i] and the parent's URL id parent[i] (-1 for None). Rows
     never move: an entry leaves the frontier when its leaf forgets the row id.
 
-    fetched (per URL id), domain (per URL id) and domain_fetches (per domain
-    id) mirror a dead rule's fetch log for array lookups; they are brought up
-    to date only when a dead rule is applied to many rows at once.
+    Per URL id, domain holds its domain's id and fetched a flag set once it
+    is fetched; per domain id, full is a flag set once the domain reaches the
+    crawl's fetch cap. A flag is never cleared.
     """
 
     def __init__(self):
@@ -75,29 +82,37 @@ class _Store:
         self.parent = array("q")
         self.ids = {}  # URL -> id
         self.urls = []  # id -> URL
-        self.fetched = np.zeros(0, bool)
-        self.domain = np.zeros(0, np.int64)
+        self.domain = array("q")
         self.domain_ids = {}
-        self.domain_fetches = np.zeros(0, np.int64)
-        self.n_fetched = 0  # fetch-log entries applied
+        self.fetched = bytearray()
+        self.full = bytearray()
 
     def url_id(self, url):
         uid = self.ids.get(url)
         if uid is None:
             uid = self.ids[url] = len(self.urls)
             self.urls.append(url)
+            self.fetched.append(0)
+            did = self.domain_ids.setdefault(domain_of(url), len(self.full))
+            if did == len(self.full):
+                self.full.append(0)
+            self.domain.append(did)
         return uid
 
     def append(self, block):
         """Append one row per entry of the block; returns the first new row id."""
+        if self.n and block.x.shape[1] != self.x.shape[1]:
+            raise ValueError(f"a block of shape {block.x.shape} does not fit a store "
+                             f"of shape {(self.n, self.x.shape[1])}")
+        url_ids = [self.url_id(u) for u in block.urls]
+        parent = -1 if block.parent is None else self.url_id(block.parent)
         first = self.n
         self.n = first + len(block)
         if first == 0:
             self.x = np.empty((0, block.x.shape[1]))
         self.x = _room(self.x, self.n)
         self.x[first:self.n] = block.x
-        self.url.extend([self.url_id(u) for u in block.urls])
-        parent = -1 if block.parent is None else self.url_id(block.parent)
+        self.url.extend(url_ids)
         self.parent.extend([parent] * len(block))
         return first
 
@@ -105,20 +120,6 @@ class _Store:
         parent = self.parent[row]
         return FrontierEntry(self.x[row], self.urls[self.url[row]],
                              None if parent < 0 else self.urls[parent])
-
-    def catch_up(self, fetched_urls):
-        """Apply the fetches logged since the last call."""
-        ids = [self.url_id(url) for url in fetched_urls]
-        known = len(self.domain)
-        if len(self.urls) > known:
-            new = self.urls[known:]
-            self.fetched = np.concatenate([self.fetched, np.zeros(len(new), bool)])
-            self.domain = np.concatenate([self.domain, [
-                self.domain_ids.setdefault(domain_of(u), len(self.domain_ids)) for u in new]])
-            self.domain_fetches = _room(self.domain_fetches, len(self.domain_ids))
-        self.fetched[ids] = True
-        np.add.at(self.domain_fetches, self.domain[ids], 1)
-        self.n_fetched += len(ids)
 
 
 def _variance_reduction(n, k, sl, ssl, total_sum, total_ss, var_parent):
@@ -362,39 +363,42 @@ class TreeFrontier:
         self.frontier_size -= 1
         return row
 
-    def _draw_from_leaf(self, leaf, rng, dead):
+    def mark_fetched(self, url, domain_full):
+        """Note that url was fetched and, when domain_full is true, that its
+        domain has reached the crawl's fetch cap. Neither can be undone, so
+        their entries are dead: none is selected again, and each leaves the
+        frontier for good when a draw meets it."""
+        store = self._store
+        uid = store.url_id(url)
+        store.fetched[uid] = 1
+        if domain_full:
+            store.full[store.domain[uid]] = 1
+
+    def _draw_from_leaf(self, leaf, rng):
         """Index of a uniform draw over the leaf's live rows, or None. A dead
-        entry (dead(url) true: it can never be selected again) that the draw
-        meets leaves the frontier for good."""
+        entry that the draw meets leaves the frontier for good."""
         rows = leaf.rows
-        urls, url_of = self._store.urls, self._store.url
+        store = self._store
+        url_of, fetched, full, domain = store.url, store.fetched, store.full, store.domain
         while rows:
             i = int(rng.integers(0, len(rows)))
-            if dead is None or not dead(urls[url_of[rows[i]]]):
+            uid = url_of[rows[i]]
+            if not (fetched[uid] or full[domain[uid]]):
                 return i
             self._pop(leaf, i)
         return None
 
-    def sample_representatives(self, rng, dead=None):
+    def sample_representatives(self, rng):
         """One uniformly drawn live entry per leaf, as (leaf, index in the
         leaf, store row); empty leaves are skipped."""
         reps = []
         for leaf in self._stocked_leaves():
-            idx = self._draw_from_leaf(leaf, rng, dead)
+            idx = self._draw_from_leaf(leaf, rng)
             if idx is not None:
                 reps.append((leaf, idx, leaf.rows[idx]))
         return reps
 
-    def _dead_rows(self, rows, dead):
-        """Mask of the rows whose entries the DeadRule rules out, through
-        lookups in the store's fetched flags and domain fetch counts."""
-        store = self._store
-        url_ids = np.frombuffer(store.url, dtype=np.int64)[rows]
-        store.catch_up(dead.fetched_since(store.n_fetched))
-        return dead.dead_rows(store.fetched[url_ids],
-                              store.domain_fetches[store.domain[url_ids]])
-
-    def _live_rows(self, dead):
+    def _live_rows(self):
         """Every live row once the dead ones are dropped for good, leaves in
         id order, then position in the leaf: (leaves, their row counts, rows)."""
         leaves = self._stocked_leaves()
@@ -402,9 +406,11 @@ class TreeFrontier:
             return [], [], np.empty(0, np.int64)
         rows = np.concatenate([_rows_of(leaf) for leaf in leaves])
         sizes = [len(leaf.rows) for leaf in leaves]
-        if dead is None:
-            return leaves, sizes, rows
-        gone = self._dead_rows(rows, dead)
+        store = self._store
+        url_ids = np.frombuffer(store.url, dtype=np.int64)[rows]
+        gone = (np.frombuffer(store.fetched, dtype=bool)[url_ids]
+                | np.frombuffer(store.full, dtype=bool)[
+                    np.frombuffer(store.domain, dtype=np.int64)[url_ids]])
         if not gone.any():
             return leaves, sizes, rows
         ends = np.cumsum(sizes)
@@ -418,19 +424,18 @@ class TreeFrontier:
         leaves = [leaf for leaf in leaves if leaf.rows]
         return leaves, [len(leaf.rows) for leaf in leaves], rows[~gone]
 
-    def update(self, e_new, f_new, mode, qnet, rng, dead=None):
+    def update(self, e_new, f_new, mode, qnet, rng):
         """One timestep: absorb the newest samples, then pick a frontier entry.
 
         e_new is an optional (x, reward) pair; f_new is an optional
-        FrontierBlock; dead is an optional DeadRule (crawler.py), whose
-        entries can never be selected again. The candidates are the leaf
-        representatives, or in synchronous mode every live entry once the
-        dead ones are dropped (leaves in id order, then position in the
-        leaf), the brute-force contrast that measures what the
-        representatives save. Explore mode draws uniformly over the
-        candidates; greedy and synchronous modes take the argmax of the value
-        network over them, ties resolved toward the lowest leaf id. The
-        selected entry leaves the tree; the others stay.
+        FrontierBlock. The candidates are the leaf representatives, or in
+        synchronous mode every live entry once the dead ones (mark_fetched)
+        are dropped (leaves in id order, then position in the leaf), the
+        brute-force contrast that measures what the representatives save.
+        Explore mode draws uniformly over the candidates; greedy and
+        synchronous modes take the argmax of the value network over them,
+        ties resolved toward the lowest leaf id. The selected entry leaves
+        the tree; the others stay.
         """
         if mode not in ("explore", "greedy", "synchronous"):
             raise ValueError(f"unknown mode {mode!r}")
@@ -439,10 +444,10 @@ class TreeFrontier:
         split_occurred = e_new is not None and self.insert_experience(e_new[0], e_new[1])
         self.insert_frontier(f_new)
         if mode == "synchronous":
-            leaves, sizes, rows = self._live_rows(dead)
+            leaves, sizes, rows = self._live_rows()
             n_candidates = len(rows)
         else:
-            candidates = self.sample_representatives(rng, dead)
+            candidates = self.sample_representatives(rng)
             n_candidates = len(candidates)
         if not n_candidates:
             raise FrontierExhaustedError("no selectable frontier entries remain")
@@ -472,10 +477,10 @@ class TreeFrontier:
         self._pop(leaf, idx)
         return entry, info
 
-    def update_synchronous(self, e_new, f_new, qnet, dead=None):
+    def update_synchronous(self, e_new, f_new, qnet):
         """update() in synchronous mode. Kept only because the crawl
         benchmark's tracer patches this name."""
-        return self.update(e_new, f_new, "synchronous", qnet, None, dead)
+        return self.update(e_new, f_new, "synchronous", qnet, None)
 
     def snapshot(self) -> dict:
         """JSON-friendly structure of split rules and per-leaf sample counts."""
@@ -498,6 +503,6 @@ class FlatFrontier(TreeFrontier):
     def insert(self, block):
         self.insert_frontier(block)
 
-    def select(self, rng, dead=None) -> FrontierEntry:
-        entry, _ = self.update(None, None, "explore", None, rng, dead)
+    def select(self, rng) -> FrontierEntry:
+        entry, _ = self.update(None, None, "explore", None, rng)
         return entry

@@ -124,6 +124,17 @@ def _validate(params: SimWorldParams):
         raise GenerationError("need at least one seed")
     if params.domains < 2:
         raise GenerationError("need at least two domains")
+    for name in ("title_len", "n_keywords", "communities"):
+        if getattr(params, name) < 1:
+            raise GenerationError(f"{name} must be at least 1")
+    for name in ("mean_out_degree", "seed_out_degree", "body_kw_mean", "noise_kw_mean",
+                 "hub_rate", "body_len"):
+        if not getattr(params, name) >= 0:  # NaN fails too
+            raise GenerationError(f"{name} must be at least 0")
+    for name in ("topic_domain_fraction", "title_kw_rate", "title_noise_rate",
+                 "url_kw_rate", "background_link_rate"):
+        if not 0.0 <= getattr(params, name) <= 1.0:
+            raise GenerationError(f"{name} must be in [0, 1]")
     n_relevant = int(round(params.pages * params.relevance))
     if params.seeds > n_relevant:
         raise GenerationError(
@@ -288,6 +299,9 @@ def training_corpus(world: SimWorld, n_relevant, n_irrelevant, seed=0):
     rng = np.random.default_rng(seed)
     rel = world.relevant_urls
     irr = [u for u, page in world.pages.items() if not page.relevant]
+    for name, count in (("n_relevant", n_relevant), ("n_irrelevant", n_irrelevant)):
+        if count < 0:
+            raise GenerationError(f"{name} must be at least 0, got {count}")
     if n_relevant > len(rel) or n_irrelevant > len(irr):
         raise GenerationError("corpus request exceeds the world's page counts")
     chosen_rel = [rel[int(i)] for i in rng.choice(len(rel), size=n_relevant, replace=False)]

@@ -40,12 +40,24 @@ def tokenize(text):
     return list(map(lookup, tokens, tokens))
 
 
-def load_stopwords(path):
-    """Read one stopword per line; blank lines and '#' comments are skipped."""
+def read_words(path, kind):
+    """The words of a file holding one per line, lowercased; '#' starts a
+    comment. A word must be a single token, since only those can match; a
+    line that is not raises ValueError naming the file and the 1-based line."""
     words = set()
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            word = line.strip().lower()
-            if word and not word.startswith("#"):
-                words.add(word)
+        for line_no, line in enumerate(fh, start=1):
+            word = line.split("#", 1)[0].strip().lower()
+            if not word:
+                continue
+            if tokenize(word) != [word]:
+                raise ValueError(f"{path}: line {line_no}: {kind} {word!r} is not a single "
+                                 f"token (it tokenizes to {tokenize(word)}), so it can "
+                                 "never match one")
+            words.add(word)
     return frozenset(words)
+
+
+def load_stopwords(path):
+    """Read one stopword per line, as read_words does."""
+    return read_words(path, "stopword")

@@ -483,12 +483,43 @@ class TestExpandCommand:
         assert f"{corpus} line 2" in err and field in err
         assert not out.exists()
 
+    def test_stopword_file_comments_and_tokens(self, tmp_path, capsys):
+        emb, kw, corpus = write_expansion_fixture(tmp_path)
+        stop = tmp_path / "stop.txt"
+        stop.write_text("win # an inline comment\n")
+        out = tmp_path / "expanded.txt"
+        rc = run_cli("expand", "--keywords", kw, "--corpus", corpus, "--embeddings", emb,
+                     "--stopwords", str(stop), "--out", str(out))
+        assert rc == 0
+        assert "win" not in json.load(open(str(out) + ".report.json"))["discovered"]
+        stop.write_text("lose\nwin's\n")
+        out.unlink()
+        rc = run_cli("expand", "--keywords", kw, "--corpus", corpus, "--embeddings", emb,
+                     "--stopwords", str(stop), "--out", str(out))
+        assert rc == 1
+        assert f"{stop}: line 2: stopword \"win's\"" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_failure_exit_code(self, tmp_path):
         rc = run_cli("expand", "--keywords", str(tmp_path / "none.txt"),
                      "--corpus", str(tmp_path / "none2.txt"),
                      "--embeddings", str(tmp_path / "none3.txt"),
                      "--out", str(tmp_path / "out.txt"))
         assert rc == 1
+
+
+class TestGenworldCommand:
+    @pytest.mark.parametrize("flags, field", [
+        (["--out-degree", "-3"], "mean_out_degree"), (["--hub-rate", "-2"], "hub_rate"),
+        (["--communities", "-4"], "communities"),
+        (["--corpus-relevant", "-1", "--corpus-irrelevant", "10"], "n_relevant")])
+    def test_out_of_range_input_writes_nothing(self, tmp_path, capsys, flags, field):
+        world, corpus = tmp_path / "world.jsonl", tmp_path / "corpus.jsonl"
+        rc = run_cli("genworld", "--out", str(world), "--pages", "200", "--domains", "10",
+                     "--corpus", str(corpus), *flags)
+        assert rc == 1
+        assert f"error: {field} must be at least" in capsys.readouterr().err
+        assert not world.exists() and not corpus.exists()
 
 
 class TestTrainCommand:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from treecrawl import crawler
-from treecrawl.crawler import (ConfigError, CrawlConfig, CrawlResult, _outlink_entries,
-                               crawl, enforce_max_domain, metrics)
+from treecrawl.crawler import (ConfigError, CrawlConfig, CrawlResult, crawl,
+                               enforce_max_domain, metrics)
 from treecrawl.fetch import SimFetcher
 from treecrawl.graph import CrawlGraph
 from treecrawl.qlearn import AgentConfig
@@ -159,27 +159,29 @@ class TestMaxDomain:
         assert counts.get(seed_domain, 0) <= 3
 
     def test_saturated_entries_leave_the_frontier(self, acceptance_world, monkeypatch):
-        # Each saturated finding drops an entry, so there can be no more of
-        # them than entries ever inserted; rechecking kept ones exceeds that.
+        # The cap is checked once per fetch, when the frontier is told that the
+        # fetched URL's domain may be full, never once per entry drawn.
         world, keywords, model = acceptance_world
-        inserted, saturated = [], []
+        registered, saturated = [], []
+        register_fetch = CrawlGraph.register_fetch
 
-        def counting_entries(*args):
-            entries = _outlink_entries(*args)
-            inserted.append(len(entries))
-            return entries
+        def counting_fetch(graph, parent, url, reward):
+            registered.append(url)
+            return register_fetch(graph, parent, url, reward)
 
         def counting_cap(graph, url, max_visits):
+            assert url == registered[-1]  # right after the fetch it follows
             allowed = enforce_max_domain(graph, url, max_visits)
             saturated.append(not allowed)
             return allowed
 
-        monkeypatch.setattr(crawler, "_outlink_entries", counting_entries)
+        monkeypatch.setattr(CrawlGraph, "register_fetch", counting_fetch)
         monkeypatch.setattr(crawler, "enforce_max_domain", counting_cap)
         cfg = CrawlConfig(seeds=world.seed_urls, budget=600, max_domain_visits=10)
         result = crawl(cfg, SimFetcher(world), model, keywords)
         assert result.status == "completed"
-        assert 0 < sum(saturated) < sum(inserted)
+        assert len(saturated) == len(registered) == len(world.seed_urls) + 600
+        assert sum(saturated) > 0
 
 
 class TestMetrics:

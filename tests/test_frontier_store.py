@@ -5,7 +5,6 @@ picks, RNG calls, candidate matrices, step records and snapshots."""
 import numpy as np
 import pytest
 
-from treecrawl.crawler import DeadRule
 from treecrawl.frontier_tree import (FrontierBlock, FrontierEntry, FrontierExhaustedError,
                                      TreeFrontier, UpdateInfo, best_split)
 from treecrawl.graph import CrawlGraph
@@ -164,18 +163,28 @@ def _same_entry(a, b):
 def _drive(seed, modes, cap, rule, steps=300, d=3):
     """Run both trees through one random sequence and compare after every step.
 
-    The store always gets a DeadRule (or none). With rule "dead_rule" the
-    reference calls that same rule once per entry; with rule "lambda" it gets
-    an independent plain rule over the same graph.
+    Unless rule is "none", the store is told of every fetch (mark_fetched).
+    With rule "dead_rule" the reference reads the store's own dead flags once
+    per entry; with rule "lambda" it gets an independent plain rule over the
+    crawl graph.
     """
     rng = np.random.default_rng(seed)
     store, ref = TreeFrontier(), ReferenceTree()
     rng_store, rng_ref = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
     q_store, q_ref = _RecordingQ(d), _RecordingQ(d)
     graph = CrawlGraph()
-    dead = dead_ref = None
-    if rule != "none":
-        dead = dead_ref = DeadRule(graph, cap)
+
+    def register_fetch(url, reward):
+        graph.register_fetch(None, url, reward)
+        if rule != "none":
+            store.mark_fetched(url, cap is not None
+                               and graph.domain_stats[url.split("/")[2]][0] >= cap)
+
+    dead_ref = None
+    if rule == "dead_rule":
+        flags = store._store
+        dead_ref = lambda url: bool(  # noqa: E731
+            flags.fetched[flags.ids[url]] or flags.full[flags.domain[flags.ids[url]]])
     if rule == "lambda":
         dead_ref = lambda url: url in graph or (  # noqa: E731
             cap is not None and graph.domain_stats.get(url.split("/")[2], [0])[0] >= cap)
@@ -194,13 +203,13 @@ def _drive(seed, modes, cap, rule, steps=300, d=3):
         if rng.random() < 0.05:  # fetched outside the frontier, as seeds are
             outside = str(rng.choice(urls))
             if outside not in graph:
-                graph.register_fetch(None, outside, 0)
+                register_fetch(outside, 0)
         mode = modes[int(rng.integers(0, len(modes)))]
         outcome = []
-        for tree, r, q, new, rule_of in ((store, rng_store, q_store, f_new, dead),
-                                         (ref, rng_ref, q_ref, ref_entries, dead_ref)):
+        for call in (lambda: store.update(e_new, f_new, mode, q_store, rng_store),
+                     lambda: ref.update(e_new, ref_entries, mode, q_ref, rng_ref, dead_ref)):
             try:
-                outcome.append(tree.update(e_new, new, mode, q, r, rule_of))
+                outcome.append(call())
             except FrontierExhaustedError:
                 outcome.append(None)
         assert (outcome[0] is None) == (outcome[1] is None), t
@@ -209,7 +218,7 @@ def _drive(seed, modes, cap, rule, steps=300, d=3):
             assert _same_entry(got, want), t
             assert info == want_info, t
             if got.url not in graph:
-                graph.register_fetch(None, got.url, int(rng.random() < 0.5))
+                register_fetch(got.url, int(rng.random() < 0.5))
             picks += 1
         assert rng_store.bit_generator.state == rng_ref.bit_generator.state, t
         assert len(q_store.seen) == len(q_ref.seen), t

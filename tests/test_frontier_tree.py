@@ -1,11 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
-from treecrawl.crawler import DeadRule
 from treecrawl.frontier_tree import (FlatFrontier, FrontierBlock, FrontierEntry,
                                      FrontierExhaustedError, TreeFrontier,
                                      best_split)
-from treecrawl.graph import CrawlGraph
 
 
 def oracle_best_split(X, y):
@@ -115,12 +115,9 @@ def same(a, b):
     return a.url == b.url and a.parent == b.parent and np.array_equal(a.x, b.x)
 
 
-def dead_rule(*fetched, cap=None):
-    """A DeadRule over a crawl graph that holds the given fetches."""
-    graph = CrawlGraph()
-    for url in fetched:
-        graph.register_fetch(None, url, 0)
-    return DeadRule(graph, cap)
+def fill(tree, url):
+    """Mark url fetched on the tree as the fetch that takes its domain to the cap."""
+    tree.mark_fetched(url, True)
 
 
 def leaf_predicates(tree, target_leaf):
@@ -350,6 +347,25 @@ class TestInsertFrontier:
             total += len(leaf.frontier)
         assert total == 500 and tree.frontier_size == 500
 
+    @pytest.mark.parametrize("x, n_urls", [(np.zeros((1, 2)), 3), (np.zeros((3, 2)), 1),
+                                           (np.zeros(3), 3), ([[0.1, 0.2]], 1)],
+                             ids=["one-row-three-urls", "three-rows-one-url", "one-d", "list"])
+    def test_block_shape_must_match_its_urls(self, x, n_urls):
+        urls = [f"http://x.com/{i}" for i in range(n_urls)]
+        shape = re.escape(str(np.shape(x)))
+        with pytest.raises(ValueError, match=rf"{n_urls} URLs.* of shape {shape}"):
+            FrontierBlock(x, urls, None)
+
+    def test_block_of_other_width_leaves_store_untouched(self):
+        tree = TreeFrontier()
+        tree.insert_frontier(block([entry([0.1, 0.2])]))
+        with pytest.raises(ValueError, match=r"shape \(1, 3\) .* shape \(1, 2\)"):
+            tree.insert_frontier(FrontierBlock(np.zeros((1, 3)), ["http://x.com/b"], None))
+        store = tree._store
+        assert store.n == len(store.url) == len(store.parent) == tree.frontier_size == 1
+        tree.insert_frontier(block([entry([0.3, 0.4], url="http://x.com/c")]))
+        assert [e.url for e in tree.root.frontier] == ["http://x.com/a", "http://x.com/c"]
+
 
 class TestRepresentatives:
     def test_single_entry(self):
@@ -476,9 +492,9 @@ class TestUpdate:
         dead = entry([0.1], url="http://x.com/dead")
         live = entry([0.8], url="http://x.com/live")
         tree.insert_frontier(block([dead, live]))
+        tree.mark_fetched("http://x.com/dead", False)
         selected, info = tree.update(None, None, "explore", None,
-                                     np.random.default_rng(3),
-                                     dead=dead_rule("http://x.com/dead"))
+                                     np.random.default_rng(3))
         assert same(selected, live)
         assert info.n_representatives == 1
         assert tree.frontier_size == 0  # dead purged, live removed by selection
@@ -487,10 +503,9 @@ class TestUpdate:
         tree = self.build_two_leaf_tree()
         tree.insert_frontier(block([entry([0.1], url="http://full.com/a"),
                                     entry([0.8], url="http://open.com/b")]))
-        saturated = dead_rule("http://full.com/", cap=1)
+        fill(tree, "http://full.com/")
         selected, info = tree.update(None, None, "explore", None,
-                                     np.random.default_rng(4),
-                                     dead=saturated)
+                                     np.random.default_rng(4))
         assert selected.url == "http://open.com/b"
         assert info.n_representatives == 1
         assert tree.frontier_size == 0  # saturated entry dropped by the draw
@@ -498,47 +513,42 @@ class TestUpdate:
     def test_saturated_entry_checked_once(self):
         # A domain cap only ever saturates more domains, so the draw that
         # meets a saturated entry drops it instead of rechecking it later.
-        full = [entry([0.5], url=f"http://full.com/{i}") for i in range(30)]
         tree = TreeFrontier()
-        tree.insert_frontier(block(full + [entry([0.5], url=f"http://open.com/{i}")
-                                           for i in range(30)]))
-        checks = {}
-
-        class CountingRule(DeadRule):
-            def __call__(self, url):
-                checks[url] = checks.get(url, 0) + 1
-                return super().__call__(url)
-
-        graph = CrawlGraph()
-        graph.register_fetch(None, "http://full.com/", 0)
-        saturated = CountingRule(graph, 1)
+        tree.insert_frontier(block([entry([0.5], url=f"http://{d}.com/{i}")
+                                    for d in ("full", "open") for i in range(30)]))
+        fill(tree, "http://full.com/")
         rng = np.random.default_rng(14)
+        stored_full = 30
         for i in range(40):
             selected, _ = tree.update(None, block([entry([0.5], url=f"http://new.com/{i}")]),
-                                      "explore", None, rng, dead=saturated)
+                                      "explore", None, rng)
             assert not selected.url.startswith("http://full.com")
-        counts = [checks.get(e.url, 0) for e in full]
-        assert max(counts) == 1
-        assert tree.frontier_size == 60 - sum(counts)  # 30 + 30 + 40 new - 40 taken
+            left = sum(e.url.startswith("http://full.com") for e in tree.root.frontier)
+            assert left <= stored_full
+            stored_full = left
+            # 30 live entries stay (30 + 40 new - 40 taken); every met one is gone
+            assert tree.frontier_size == len(tree.root.frontier) == 30 + stored_full
+        assert stored_full < 30  # 30 + 30 + 40 new - 40 taken
 
     def test_all_saturated_exhausts(self):
         tree = TreeFrontier()
         tree.insert_frontier(block([entry([0.5], url="http://full.com/a")]))
         with pytest.raises(FrontierExhaustedError):
-            tree.update(None, None, "explore", None, np.random.default_rng(5),
-                        dead=dead_rule("http://full.com/", cap=1))
+            fill(tree, "http://full.com/")
+            tree.update(None, None, "explore", None, np.random.default_rng(5))
 
     @pytest.mark.parametrize("mode, qnet", [("bogus", _UrlQ(lambda row: 0.0)),
                                             ("greedy", None), ("synchronous", None)])
     def test_bad_call_leaves_tree_untouched(self, mode, qnet):
         tree = self.build_two_leaf_tree()
         tree.insert_frontier(block([entry([x], url=f"http://x.com/{x}") for x in (0.1, 0.9)]))
+        tree.mark_fetched("http://x.com/0.1", False)
         rng = np.random.default_rng(3)
         before = (tree.frontier_size, tree.leaf_count, tree.n_experience,
                   rng.bit_generator.state)
         with pytest.raises(ValueError):
             tree.update(([0.8], 1.0), block([entry([0.2], url="http://x.com/new")]), mode,
-                        qnet, rng, dead=dead_rule("http://x.com/0.1"))
+                        qnet, rng)
         assert (tree.frontier_size, tree.leaf_count, tree.n_experience,
                 rng.bit_generator.state) == before
 
@@ -556,13 +566,56 @@ class TestUpdate:
         assert set(counts) <= {0, 1}
 
 
+class TestMarkFetched:
+    """A mark holds for every entry of the URL or domain, inserted before or after."""
+
+    MODES = ("explore", "greedy", "synchronous")
+
+    @staticmethod
+    def drain(tree, f_new, mode):
+        """The URLs selected until the frontier is exhausted."""
+        qnet = _UrlQ(lambda row: float(row[0]))
+        rng = np.random.default_rng(15)
+        picked = []
+        while True:
+            try:
+                selected, _ = tree.update(None, f_new, mode, qnet, rng)
+            except FrontierExhaustedError:
+                return picked
+            picked.append(selected.url)
+            f_new = None
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_url_fetched_before_insert_never_selected(self, mode):
+        tree = TreeFrontier()
+        tree.mark_fetched("http://x.com/old", False)
+        tree.insert_frontier(block([entry([0.9], url="http://x.com/old"),
+                                    entry([0.1], url="http://x.com/new")]))
+        again = block([entry([0.8], url="http://x.com/old", parent="http://y.com/")])
+        assert self.drain(tree, again, mode) == ["http://x.com/new"]
+        assert tree.frontier_size == 0
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_full_domain_kills_later_entries(self, mode):
+        tree = TreeFrontier()
+        tree.insert_frontier(block([entry([0.2], url="http://full.com/a"),
+                                    entry([0.1], url="http://open.com/a")]))
+        fill(tree, "http://full.com/")
+        later = block([entry([0.9], url=f"http://full.com/{i}") for i in range(3)]
+                      + [entry([0.05 * i], url=f"http://open.com/{i}") for i in range(3)])
+        picked = self.drain(tree, later, mode)
+        assert sorted(picked) == ["http://open.com/0", "http://open.com/1",
+                                  "http://open.com/2", "http://open.com/a"]
+        assert tree.frontier_size == 0
+
+
 class TestSynchronous:
     """Run through update_synchronous; TestSynchronousMode reruns every test
     through update(..., "synchronous", ...)."""
 
     @staticmethod
-    def sync(tree, e_new, f_new, qnet, dead=None):
-        return tree.update_synchronous(e_new, f_new, qnet, dead)
+    def sync(tree, e_new, f_new, qnet):
+        return tree.update_synchronous(e_new, f_new, qnet)
 
     def test_evaluations_equal_frontier_size(self):
         rng = np.random.default_rng(8)
@@ -610,9 +663,9 @@ class TestSynchronous:
         full = [entry([0.9], url=f"http://full.com/{i}") for i in range(5)]
         open_ = [entry([0.1 * i], url=f"http://open.com/{i}") for i in range(4)]
         tree.insert_frontier(block(full + open_))
-        saturated = dead_rule("http://full.com/", cap=1)
+        fill(tree, "http://full.com/")
         qnet = _UrlQ(lambda row: float(row[0]))
-        selected, info = self.sync(tree, None, None, qnet, dead=saturated)
+        selected, info = self.sync(tree, None, None, qnet)
         assert selected.url == "http://open.com/3"  # full.com scores higher
         assert info.frontier_size == 4  # the five saturated entries are gone
         assert info.q_evaluations == info.frontier_size
@@ -622,16 +675,16 @@ class TestSynchronous:
     def test_all_saturated_exhausts(self):
         tree = TreeFrontier()
         tree.insert_frontier(block([entry([0.5], url=f"http://full.com/{i}") for i in range(3)]))
+        fill(tree, "http://full.com/")
         with pytest.raises(FrontierExhaustedError):
-            self.sync(tree, None, None, _UrlQ(lambda row: 0.0),
-                      dead=dead_rule("http://full.com/", cap=1))
+            self.sync(tree, None, None, _UrlQ(lambda row: 0.0))
         assert tree.frontier_size == 0
 
 
 class TestSynchronousMode(TestSynchronous):
     @staticmethod
-    def sync(tree, e_new, f_new, qnet, dead=None):
-        return tree.update(e_new, f_new, "synchronous", qnet, None, dead)
+    def sync(tree, e_new, f_new, qnet):
+        return tree.update(e_new, f_new, "synchronous", qnet, None)
 
 
 class TestDeterminism:
@@ -672,17 +725,18 @@ class TestFlatFrontier:
     def test_purge_and_exhaustion(self):
         flat = FlatFrontier()
         flat.insert(block([entry([0.0], url="http://x.com/dead")]))
+        flat.mark_fetched("http://x.com/dead", False)
         with pytest.raises(FrontierExhaustedError):
-            flat.select(np.random.default_rng(0), dead=dead_rule("http://x.com/dead"))
+            flat.select(np.random.default_rng(0))
         assert flat.frontier_size == 0
 
     def test_saturated_dropped(self):
         flat = FlatFrontier()
         flat.insert(block([entry([0.0], url="http://full.com/a"),
                            entry([0.0], url="http://open.com/b")]))
+        fill(flat, "http://full.com/")
         # seed 1 draws the saturated entry first; the draw drops it
-        chosen = flat.select(np.random.default_rng(1),
-                             dead=dead_rule("http://full.com/", cap=1))
+        chosen = flat.select(np.random.default_rng(1))
         assert chosen.url == "http://open.com/b"
         assert flat.frontier_size == 0
 

@@ -129,6 +129,31 @@ class TestGeneration:
             # more seeds than relevant pages cannot all be relevant seeds
             generate_sim_world(SimWorldParams(pages=100, relevance=0.02, seeds=5), seed=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("title_len", 0), ("n_keywords", 0), ("communities", -4), ("communities", 0),
+        ("mean_out_degree", -3.0), ("seed_out_degree", -1.0), ("body_kw_mean", -1.0),
+        ("noise_kw_mean", float("nan")), ("hub_rate", -2.0), ("body_len", -1),
+        ("topic_domain_fraction", 1.5), ("title_kw_rate", -0.1), ("title_noise_rate", 2.0),
+        ("url_kw_rate", float("nan")), ("background_link_rate", 1.01)])
+    def test_out_of_range_params_named(self, field, value):
+        with pytest.raises(GenerationError, match=f"^{field} must be"):
+            generate_sim_world(SimWorldParams(pages=100, **{field: value}), seed=0)
+
+    def test_range_ends_accepted(self):
+        ends = dict(title_len=1, n_keywords=1, communities=1, mean_out_degree=0.0,
+                    seed_out_degree=0.0, body_kw_mean=0.0, noise_kw_mean=0.0, hub_rate=0.0,
+                    body_len=0, topic_domain_fraction=1.0, title_kw_rate=1.0,
+                    title_noise_rate=0.0, url_kw_rate=1.0, background_link_rate=0.0)
+        world = generate_sim_world(SimWorldParams(pages=100, domains=10, **ends), seed=0)
+        assert len(world.pages) == 100
+
+    @pytest.mark.parametrize("n_relevant, n_irrelevant, field", [(-1, 10, "n_relevant"),
+                                                                 (1, -1, "n_irrelevant")])
+    def test_negative_corpus_counts_named(self, n_relevant, n_irrelevant, field):
+        world = generate_sim_world(SimWorldParams(pages=100, domains=10), seed=0)
+        with pytest.raises(GenerationError, match=f"^{field} must be at least 0"):
+            training_corpus(world, n_relevant, n_irrelevant)
+
     def test_page_outlinks_deduplicated(self):
         world = generate_sim_world(SimWorldParams(pages=300, domains=15), seed=11)
         for url in world.order:

@@ -1,8 +1,10 @@
 import re
 
+import pytest
+
 from treecrawl import text
 from treecrawl.simworld import SimWorldParams, generate_sim_world, training_corpus
-from treecrawl.text import tokenize
+from treecrawl.text import load_stopwords, tokenize
 
 
 def plain_tokenize(s):
@@ -36,3 +38,19 @@ class TestTokenize:
         assert later == ["e", "f", "a"]
         assert len(table) == 4 and "e" not in table
         assert later[2] is table["a"]
+
+
+class TestStopwordFiles:
+    def test_inline_comments_stripped(self, tmp_path):
+        path = tmp_path / "stop.txt"
+        path.write_text("# articles\nThe # definite\n\n  an\n")
+        assert load_stopwords(path) == {"the", "an"}
+
+    @pytest.mark.parametrize("body, line_no, word", [("the\ndon't\n", 2, "don't"),
+                                                     ("# x\n\nnew york\n", 3, "new york")])
+    def test_stopword_that_no_token_can_equal_refused(self, tmp_path, body, line_no, word):
+        path = tmp_path / "stop.txt"
+        path.write_text(body)
+        with pytest.raises(ValueError) as err:
+            load_stopwords(path)
+        assert f"{path}: line {line_no}: stopword {word!r} is not a single token" in str(err.value)
