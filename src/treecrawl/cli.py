@@ -17,6 +17,7 @@ import time
 import numpy as np
 
 from . import __version__
+from .checks import is_kind, parse_json
 from .crawler import POLICIES, ConfigError, CrawlConfig, crawl
 from .embeddings import (KeywordSet, expand_keywords, load_embeddings,
                          load_keywords, save_keywords, score_candidates, threshold_b)
@@ -103,7 +104,6 @@ def cmd_genworld(args) -> int:
         print(f"training corpus: {args.corpus_relevant}+{args.corpus_irrelevant} "
               f"pages -> {args.corpus}")
     if args.keywords_out:
-        KeywordSet(frozenset(world.keywords))  # validation only
         with open(args.keywords_out, "w", encoding="utf-8") as fh:
             for k in world.keywords:
                 fh.write(k + "\n")
@@ -128,9 +128,9 @@ def _config_from_args(args):
                               f"no other crawl flag but --out; got {', '.join(given)}")
         source = f"--from-manifest file {args.from_manifest}"
         with open(args.from_manifest, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        config = manifest.get("config") if isinstance(manifest, dict) else None
-        if not isinstance(config, dict):
+            manifest = parse_json(fh.read(), source, ConfigError)
+        config = manifest.get("config") if is_kind(manifest, dict) else None
+        if not is_kind(config, dict):
             raise ConfigError(f"{source} must hold a manifest object with a "
                               "\"config\" object")
     else:
@@ -159,14 +159,14 @@ def _config_from_args(args):
         if config_path:
             source = ("--config" if args.config else "TREECRAWL_CONFIG") + f" file {config_path}"
             with open(config_path, encoding="utf-8") as fh:
-                overrides = json.load(fh)
-            if not isinstance(overrides, dict):
+                overrides = parse_json(fh.read(), source, ConfigError)
+            if not is_kind(overrides, dict):
                 raise ConfigError(f"{source} must hold a JSON object of CrawlConfig "
                                   f"fields, not {json.dumps(overrides)[:40]}")
             config.update(overrides)
     inputs = {key: config.pop(key, None) for key in ("world", "model", "keywords")}
     for key, value in inputs.items():
-        if not (value is None or isinstance(value, str)):
+        if not (value is None or is_kind(value, str)):
             raise ConfigError(f"{source}: {key} must be a file path string or null, "
                               f"not {json.dumps(value)[:40]}")
     return inputs, config

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field, asdict, fields
 
 import numpy as np
 
+from .checks import check, check_fields
 from .fetch import FetchFailure
 from .frontier_tree import FrontierBlock, FrontierExhaustedError, TreeFrontier
 # crawl() does not call build_state_action; it is imported only because the
@@ -41,27 +42,19 @@ class CrawlConfig:
     agent: AgentConfig = field(default_factory=AgentConfig)
 
     def validate(self):
-        # type(...) is int also refuses bools, which Python counts as ints.
-        if not (isinstance(self.seeds, list) and all(isinstance(s, str) for s in self.seeds)):
-            raise ConfigError("seeds must be a list of URL strings")
+        check_fields(self, ConfigError, seeds="strings", budget=int, max_domain_visits=int,
+                     agent=None)
         if not self.seeds:
             raise ConfigError("at least one seed URL is required")
-        for name in ("budget", "warmup_steps", "rng_seed", "max_text_len"):
-            if type(getattr(self, name)) is not int:
-                raise ConfigError(f"{name} must be an integer")
-        if not isinstance(self.hub_features, bool):
-            raise ConfigError("hub_features must be true or false")
         for name, low in (("budget", 1), ("max_text_len", 1), ("warmup_steps", 0),
-                          ("rng_seed", 0)):
-            if getattr(self, name) < low:
+                          ("rng_seed", 0), ("max_domain_visits", 1)):
+            value = getattr(self, name)
+            if value is not None and value < low:  # None: no domain cap
                 raise ConfigError(f"{name} must be at least {low}")
         if self.policy not in POLICIES:
             raise ConfigError(f"unknown policy {self.policy!r}; choose from {POLICIES}")
         if self.mode not in ("sim", "live"):
             raise ConfigError(f"unknown mode {self.mode!r}")
-        cap = self.max_domain_visits
-        if cap is not None and (type(cap) is not int or cap < 1):
-            raise ConfigError("max_domain_visits must be an integer >= 1 or unlimited (None)")
 
     def to_dict(self):
         """Plain-data form, with the agent settings nested under "agent"."""
@@ -72,8 +65,7 @@ class CrawlConfig:
         """Inverse of to_dict; raises ConfigError naming every unknown key."""
         record = dict(record)
         agent = record.pop("agent", {})
-        if not isinstance(agent, dict):
-            raise ConfigError("agent must be an object of AgentConfig fields")
+        check(agent, dict, "agent", ConfigError)
         unknown = sorted(set(record) - {f.name for f in fields(cls)}) + sorted(
             "agent." + k for k in set(agent) - {f.name for f in fields(AgentConfig)})
         if unknown:

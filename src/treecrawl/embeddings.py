@@ -15,12 +15,10 @@ from .text import DEFAULT_STOPWORDS, read_words
 
 
 class EmbeddingParseError(ValueError):
-    """A word-vector file that does not match the expected text format."""
+    """A word-vector file not in the text format; names the file and the line."""
 
-    def __init__(self, message, line_no=None):
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
+    def __init__(self, path, line_no, message):
+        super().__init__(f"{path}: line {line_no}: {message}")
         self.line_no = line_no
 
 
@@ -81,17 +79,17 @@ def load_embeddings(path) -> EmbeddingTable:
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or not any(line.strip() for line in lines):
-        raise EmbeddingParseError("empty embedding file", line_no=1)
+        raise EmbeddingParseError(path, 1, "empty embedding file")
 
     header = lines[0].split()
     if len(header) != 2:
-        raise EmbeddingParseError(f"expected '<count> <dim>' header, got {lines[0]!r}", line_no=1)
+        raise EmbeddingParseError(path, 1, f"expected '<count> <dim>' header, got {lines[0]!r}")
     try:
         _count, dim = int(header[0]), int(header[1])
     except ValueError:
-        raise EmbeddingParseError(f"non-integer header fields in {lines[0]!r}", line_no=1) from None
+        raise EmbeddingParseError(path, 1, f"non-integer header fields in {lines[0]!r}") from None
     if dim <= 0:
-        raise EmbeddingParseError(f"dimension must be positive, got {dim}", line_no=1)
+        raise EmbeddingParseError(path, 1, f"dimension must be positive, got {dim}")
 
     entries = {}
     for i, line in enumerate(lines[1:], start=2):
@@ -102,17 +100,16 @@ def load_embeddings(path) -> EmbeddingTable:
         values = parts[1:]
         if len(values) != dim:
             raise EmbeddingParseError(
-                f"token {token!r} has {len(values)} components, expected {dim}", line_no=i
-            )
+                path, i, f"token {token!r} has {len(values)} components, expected {dim}")
         try:
             vec = np.array([float(v) for v in values], dtype=np.float64)
         except ValueError:
-            raise EmbeddingParseError(f"non-numeric component for token {token!r}", line_no=i) from None
+            raise EmbeddingParseError(path, i, f"non-numeric component for token {token!r}") from None
         if token not in entries:  # duplicates resolved by first occurrence
             vec.setflags(write=False)
             entries[token] = vec
     if not entries:
-        raise EmbeddingParseError("no token entries after header", line_no=2)
+        raise EmbeddingParseError(path, 2, "no token entries after header")
     return EmbeddingTable(dimension=dim, entries=entries)
 
 
@@ -133,7 +130,10 @@ def save_keywords(keywords: KeywordSet, path, scores=None):
 
 def load_keywords(path) -> KeywordSet:
     """Read one keyword per line, as read_words does; all become initial keywords."""
-    return KeywordSet(initial=read_words(path, "keyword"))
+    words = read_words(path, "keyword")
+    if not words:
+        raise ValueError(f"{path} holds no keyword, so no page could match one")
+    return KeywordSet(initial=words)
 
 
 def cosine(u, v) -> float:

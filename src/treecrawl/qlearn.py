@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import check_fields, is_kind
+
 
 class DimensionMismatchError(ValueError):
     pass
@@ -37,30 +39,20 @@ class AgentConfig:
     next_action_cap: int = 256
 
     def __post_init__(self):
-        # type(...) is int also refuses bools, which Python counts as ints.
-        for name in ("gamma", "learning_rate", "eps_start", "eps_end"):
-            value = getattr(self, name)
-            if type(value) is not int and not isinstance(value, float):
-                raise ValueError(f"agent.{name} must be a number")
-        for name in ("batch_size", "target_sync_every", "replay_capacity",
-                     "next_action_cap"):
-            if type(getattr(self, name)) is not int:
-                raise ValueError(f"agent.{name} must be an integer")
-        decay = self.eps_decay_steps
-        if decay is not None and (type(decay) is not int or decay < 1):
-            raise ValueError("agent.eps_decay_steps must be a positive integer or null")
+        check_fields(self, ValueError, "agent.", eps_decay_steps=int, hidden=None)
         if not (isinstance(self.hidden, (list, tuple)) and len(self.hidden) == 2
-                and all(type(h) is int and h > 0 for h in self.hidden)):
+                and all(is_kind(h, int) and h > 0 for h in self.hidden)):
             raise ValueError("agent.hidden must be two positive integers")
-        if self.activation not in ("relu", "tanh"):
-            raise ValueError("agent.activation must be 'relu' or 'tanh'")
         self.hidden = tuple(self.hidden)  # a list after a JSON round trip
+        if self.activation not in _ACTIVATIONS:
+            raise ValueError(f"agent.activation must be one of {', '.join(_ACTIVATIONS)}")
         for name in ("gamma", "eps_start", "eps_end"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"agent.{name} must lie in [0, 1]")
         for name in ("learning_rate", "batch_size", "target_sync_every",
-                     "replay_capacity", "next_action_cap"):
-            if getattr(self, name) <= 0:
+                     "replay_capacity", "next_action_cap", "eps_decay_steps"):
+            value = getattr(self, name)
+            if value is not None and value <= 0:  # None: decay over 20% of the budget
                 raise ValueError(f"agent.{name} must be positive")
 
     def epsilon(self, step, budget):

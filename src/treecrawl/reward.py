@@ -8,12 +8,12 @@ relevance probability used in action features and the 0/1 reward.
 from __future__ import annotations
 
 import json
-import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checks import check, is_kind, json_lines, parse_json, require
 from .embeddings import KeywordSet
 from .text import tokenize
 
@@ -225,33 +225,24 @@ def save_model(model: RelevanceModel, path):
         fh.write("\n")
 
 
-def _finite(value):
-    return type(value) in (int, float) and math.isfinite(value)  # no bools
-
-
 def load_model(path) -> RelevanceModel:
-    """Read a save_model record; a missing or malformed field raises an
+    """Read a save_model record; a malformed file or field raises an
     InvalidParameterError naming the file and the field."""
+    error = InvalidParameterError
     with open(path, encoding="utf-8") as fh:
-        record = json.load(fh)
-    if not isinstance(record, dict):
-        raise InvalidParameterError(f"{path} does not hold a model record")
+        record = check(parse_json(fh.read(), path, error), dict, f"{path}: the model record",
+                       error)
+    where = f"{path}: model field "
     weights = record.get("weights")
-    checks = (("weights", "3 finite numbers", isinstance(weights, list)
-               and len(weights) == 3 and all(map(_finite, weights))),
-              ("bias", "a finite number", _finite(record.get("bias"))),
-              ("threshold", "a finite number", _finite(record.get("threshold"))),
-              ("mu", "a positive number", _finite(record.get("mu")) and record["mu"] > 0))
-    for name, want, ok in checks:
-        if not ok:
-            raise InvalidParameterError(
-                f"{path}: model field {name} must be {want}, got {record.get(name)!r}")
-    return RelevanceModel(
-        weights=np.array(weights, dtype=np.float64),
-        bias=float(record["bias"]),
-        mu=float(record["mu"]),
-        threshold=float(record["threshold"]),
-    )
+    if not (isinstance(weights, list) and len(weights) == 3
+            and all(is_kind(w, "finite") for w in weights)):
+        raise error(f"{where}weights must be 3 finite numbers, got {weights!r:.60}")
+    bias, mu, threshold = (require(record, name, "finite", where, error)
+                           for name in ("bias", "mu", "threshold"))
+    if mu <= 0:
+        raise error(f"{where}mu must be positive, got {mu!r}")
+    return RelevanceModel(weights=np.array(weights, dtype=np.float64), bias=float(bias),
+                          mu=float(mu), threshold=float(threshold))
 
 
 def corpus_records(path, labeled=True):
@@ -259,28 +250,19 @@ def corpus_records(path, labeled=True):
     `title` and `text` strings when present and, when labeled, a `url` string
     and a `label` of exactly 0 or 1. A malformed line raises an
     InvalidParameterError naming the file, the 1-based line and the field."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{path} line {lineno}"
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise InvalidParameterError(f"{where} is not JSON: {exc}") from None
-            if not isinstance(record, dict):
-                raise InvalidParameterError(f"{where}: a page record must be an object")
-            for name in ("url", "label") if labeled else ():
-                if name not in record:
-                    raise InvalidParameterError(f"{where}: {name} is missing")
-            for name in ("url", "title", "text"):
-                if name in record and not isinstance(record[name], str):
-                    raise InvalidParameterError(
-                        f"{where}: {name} must be a string, got {record[name]!r:.60}")
-            if labeled and (type(record["label"]) is not int or record["label"] not in (0, 1)):
-                raise InvalidParameterError(
-                    f"{where}: label must be 0 or 1, got {record['label']!r:.60}")
-            yield record
+    error = InvalidParameterError
+    for lineno, record in json_lines(path, error):
+        where = f"{path} line {lineno}: "
+        check(record, dict, where + "a page record", error)
+        for name in ("url", "label") if labeled else ():
+            if name not in record:
+                raise error(f"{where}{name} is missing")
+        for name in ("url", "title", "text"):
+            if name in record:
+                check(record[name], str, where + name, error)
+        if labeled and not (is_kind(record["label"], int) and record["label"] in (0, 1)):
+            raise error(f"{where}label must be 0 or 1, got {record['label']!r:.60}")
+        yield record
 
 
 def load_corpus_jsonl(path, max_len=DEFAULT_MAX_TEXT_LEN):

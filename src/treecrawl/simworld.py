@@ -17,6 +17,8 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
+from .checks import check, check_fields, json_lines, require
+
 
 class GenerationError(ValueError):
     pass
@@ -43,6 +45,21 @@ class SimWorldParams:
     body_len: int = 80
     title_len: int = 6
     seeds: int = 1
+
+    def __post_init__(self):
+        check_fields(self, GenerationError)
+        for name, low in (("pages", 10), ("seeds", 1), ("domains", 2), ("title_len", 1),
+                          ("n_keywords", 1), ("communities", 1), ("mean_out_degree", 0),
+                          ("seed_out_degree", 0), ("body_kw_mean", 0), ("noise_kw_mean", 0),
+                          ("hub_rate", 0), ("body_len", 0)):
+            if not getattr(self, name) >= low:  # NaN fails too
+                raise GenerationError(f"{name} must be at least {low}")
+        if not 0.0 < self.relevance < 1.0:
+            raise GenerationError("relevance must be in (0, 1)")
+        for name in ("locality", "topic_domain_fraction", "title_kw_rate", "title_noise_rate",
+                     "url_kw_rate", "background_link_rate"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise GenerationError(f"{name} must be in [0, 1]")
 
 
 # Every word of every page body, by id, for all worlds alike. The table only
@@ -113,41 +130,15 @@ class SimWorld:
         return [u for u, page in self.pages.items() if page.relevant]
 
 
-def _validate(params: SimWorldParams):
-    if params.pages < 10:
-        raise GenerationError("need at least 10 pages")
-    if not 0.0 < params.relevance < 1.0:
-        raise GenerationError("relevance fraction must be in (0, 1)")
-    if not 0.0 <= params.locality <= 1.0:
-        raise GenerationError("locality must be in [0, 1]")
-    if params.seeds < 1:
-        raise GenerationError("need at least one seed")
-    if params.domains < 2:
-        raise GenerationError("need at least two domains")
-    for name in ("title_len", "n_keywords", "communities"):
-        if getattr(params, name) < 1:
-            raise GenerationError(f"{name} must be at least 1")
-    for name in ("mean_out_degree", "seed_out_degree", "body_kw_mean", "noise_kw_mean",
-                 "hub_rate", "body_len"):
-        if not getattr(params, name) >= 0:  # NaN fails too
-            raise GenerationError(f"{name} must be at least 0")
-    for name in ("topic_domain_fraction", "title_kw_rate", "title_noise_rate",
-                 "url_kw_rate", "background_link_rate"):
-        if not 0.0 <= getattr(params, name) <= 1.0:
-            raise GenerationError(f"{name} must be in [0, 1]")
+def generate_sim_world(params: SimWorldParams, seed: int) -> SimWorld:
     n_relevant = int(round(params.pages * params.relevance))
     if params.seeds > n_relevant:
         raise GenerationError(
             f"{params.seeds} seeds cannot all be relevant with only {n_relevant} relevant pages")
     if params.seeds >= params.pages:
         raise GenerationError("seed count must be smaller than the page count")
-
-
-def generate_sim_world(params: SimWorldParams, seed: int) -> SimWorld:
-    _validate(params)
     rng = np.random.default_rng(seed)
     n = params.pages
-    n_relevant = int(round(n * params.relevance))
 
     keywords = [f"topic{i:02d}" for i in range(params.n_keywords)]
     background = [f"filler{i:03d}" for i in range(400)]
@@ -164,7 +155,7 @@ def generate_sim_world(params: SimWorldParams, seed: int) -> SimWorld:
     # Relevant pages form topical islands; locality keeps their links inside
     # the island, so reaching a new island goes through the background graph.
     # Communities need a handful of members each to carry internal links.
-    n_communities = max(1, min(int(params.communities), n_relevant // 4))
+    n_communities = max(1, min(params.communities, n_relevant // 4))
     community = {}
     members = [[] for _ in range(n_communities)]
     for k, i in enumerate(rel_idx):
@@ -333,78 +324,41 @@ def save_world(world: SimWorld, path):
 
 _PAGE_FIELDS = {"url": str, "domain": str, "relevant": bool, "title": str,
                 "body": str, "outlinks": "links"}
-_KIND_NAMES = {int: "an integer", float: "a number", bool: "a boolean", str: "a string",
-               dict: "an object", "strings": "a list of strings",
-               "links": "a list of [url, anchor] string pairs"}
-
-
-def _is_kind(value, kind):
-    """Whether a JSON value has the kind: a type (an int counts as a float),
-    "strings" or "links"."""
-    if kind == "strings":
-        return isinstance(value, list) and all(isinstance(v, str) for v in value)
-    if kind == "links":
-        return isinstance(value, list) and all(
-            isinstance(v, list) and len(v) == 2 and all(isinstance(s, str) for s in v)
-            for v in value)
-    return type(value) in ((int, float) if kind is float else (kind,))
-
-
-def _field(path, lineno, record, name, kind, label=None):
-    """record[name], checked to be of the kind; errors name the file, the
-    1-based line and the field."""
-    where = f"{path} line {lineno}: {label or name}"
-    if name not in record:
-        raise GenerationError(f"{where} is missing")
-    if not _is_kind(record[name], kind):
-        raise GenerationError(f"{where} must be {_KIND_NAMES[kind]}, got {record[name]!r:.60}")
-    return record[name]
-
-
-def _json_line(path, lineno, line):
-    try:
-        return json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise GenerationError(f"{path} line {lineno} is not JSON: {exc}") from None
 
 
 def load_world(path) -> SimWorld:
-    with open(path, encoding="utf-8") as fh:
-        header = _json_line(path, 1, fh.readline())
-        if not isinstance(header, dict) or header.get("kind") != "simworld":
-            raise GenerationError(f"{path} is not a serialized world")
-        missing = [key for key in ("params", "seed", "seed_urls", "keywords")
-                   if key not in header]
-        if missing:
-            raise GenerationError(f"{path} header lacks {', '.join(missing)}; "
-                                  "regenerate the world with `treecrawl genworld`")
-        raw = _field(path, 1, header, "params", dict)
-        unknown = sorted(set(raw) - {f.name for f in fields(SimWorldParams)})
-        if unknown:
-            raise GenerationError(
-                f"{path} has unknown world parameters {', '.join(unknown)}; "
-                "regenerate the world with `treecrawl genworld`")
-        for f in fields(SimWorldParams):
-            if f.name in raw:
-                _field(path, 1, raw, f.name, type(f.default), "params." + f.name)
-        seed = _field(path, 1, header, "seed", int)
-        seed_urls = _field(path, 1, header, "seed_urls", "strings")
-        keywords = _field(path, 1, header, "keywords", "strings")
-        pages = {}
-        links = {}  # one tuple per distinct (url, anchor), as generate_sim_world holds them
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            rec = _json_line(path, lineno, line)
-            if not isinstance(rec, dict):
-                raise GenerationError(f"{path} line {lineno}: a page must be an object")
-            page = SimPage(**{name: _field(path, lineno, rec, name, kind)
-                              for name, kind in _PAGE_FIELDS.items()})
-            page.outlinks = [links.setdefault(link, link)
-                             for link in map(tuple, page.outlinks)]
-            pages[page.url] = page
-    return SimWorld(params=SimWorldParams(**raw), seed=seed, keywords=keywords,
-                    seed_urls=seed_urls, pages=pages)
+    records = json_lines(path, GenerationError)
+    lineno, header = next(records, (1, None))
+    where = f"{path} line {lineno}: "
+    if check(header, dict, where + "the header", GenerationError).get("kind") != "simworld":
+        raise GenerationError(f"{path} is not a serialized world")
+    missing = [key for key in ("params", "seed", "seed_urls", "keywords") if key not in header]
+    if missing:
+        raise GenerationError(f"{path} header lacks {', '.join(missing)}; "
+                              "regenerate the world with `treecrawl genworld`")
+    raw = require(header, "params", dict, where, GenerationError)
+    unknown = sorted(set(raw) - {f.name for f in fields(SimWorldParams)})
+    if unknown:
+        raise GenerationError(f"{path} has unknown world parameters {', '.join(unknown)}; "
+                              "regenerate the world with `treecrawl genworld`")
+    try:
+        params = SimWorldParams(**raw)
+    except GenerationError as exc:
+        raise GenerationError(f"{where}params.{exc}") from None
+    seed = require(header, "seed", int, where, GenerationError)
+    seed_urls = require(header, "seed_urls", "strings", where, GenerationError)
+    keywords = require(header, "keywords", "tokens", where, GenerationError)
+    pages = {}
+    links = {}  # one tuple per distinct (url, anchor), as generate_sim_world holds them
+    for lineno, rec in records:
+        where = f"{path} line {lineno}: "
+        check(rec, dict, where + "a page", GenerationError)
+        page = SimPage(**{name: require(rec, name, kind, where, GenerationError)
+                          for name, kind in _PAGE_FIELDS.items()})
+        page.outlinks = [links.setdefault(link, link) for link in map(tuple, page.outlinks)]
+        pages[page.url] = page
+    return SimWorld(params=params, seed=seed, keywords=keywords, seed_urls=seed_urls,
+                    pages=pages)
 
 
 def world_digest(world: SimWorld) -> str:

@@ -348,6 +348,31 @@ class TestCrawlCommand:
         assert not out.exists()
         assert built == []
 
+    def test_keyword_file_without_keywords_refused(self, pipeline, tmp_path, capsys):
+        keywords = tmp_path / "kw.txt"
+        keywords.write_text("# topic keywords\n\n  # none yet\n")
+        out = tmp_path / "runs"
+        capsys.readouterr()
+        rc = run_cli("crawl", "--mode", "sim", "--world", pipeline["world"],
+                     "--model", pipeline["model"], "--keywords", str(keywords),
+                     "--budget", "5", "--out", str(out))
+        assert rc == 1
+        assert f"{keywords} holds no keyword" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("route", ["--config", "--from-manifest"])
+    def test_config_file_not_json_named(self, pipeline, tmp_path, capsys, route):
+        path = tmp_path / "in.json"
+        path.write_text("{not json")
+        extra = (("--world", pipeline["world"], "--model", pipeline["model"])
+                 if route == "--config" else ())
+        out = tmp_path / "runs"
+        capsys.readouterr()
+        rc = run_cli("crawl", *extra, route, str(path), "--out", str(out))
+        assert rc == 1
+        assert f"{route} file {path} is not JSON" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_exhausted_exit_code(self, pipeline, tmp_path):
         # a 600-page world cannot satisfy a 10000-fetch budget
         rc = run_cli("crawl", "--mode", "sim", "--world", pipeline["world"],
@@ -500,6 +525,18 @@ class TestExpandCommand:
         assert f"{stop}: line 2: stopword \"win's\"" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_embedding_errors_name_the_file(self, tmp_path, capsys):
+        emb, kw, corpus = write_expansion_fixture(tmp_path)
+        with open(emb, "a", encoding="utf-8") as fh:
+            fh.write("short 1.0 2.0\n")
+        out = tmp_path / "expanded.txt"
+        rc = run_cli("expand", "--keywords", kw, "--corpus", corpus, "--embeddings", emb,
+                     "--out", str(out))
+        assert rc == 1
+        assert (f"{emb}: line 6: token 'short' has 2 components, expected 4"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_failure_exit_code(self, tmp_path):
         rc = run_cli("expand", "--keywords", str(tmp_path / "none.txt"),
                      "--corpus", str(tmp_path / "none2.txt"),
@@ -553,4 +590,15 @@ class TestTrainCommand:
         assert rc == 1
         err = capsys.readouterr().err
         assert f"{corpus} line 2" in err and field in err
+        assert not out.exists()
+
+    def test_keyword_file_without_keywords_refused(self, pipeline, tmp_path, capsys):
+        keywords = tmp_path / "kw.txt"
+        keywords.write_text("# no keywords here\n")
+        out = tmp_path / "model.json"
+        capsys.readouterr()
+        rc = run_cli("train", "--corpus", pipeline["corpus"], "--keywords", str(keywords),
+                     "--out", str(out))
+        assert rc == 1
+        assert f"{keywords} holds no keyword" in capsys.readouterr().err
         assert not out.exists()

@@ -139,6 +139,13 @@ class TestGeneration:
         with pytest.raises(GenerationError, match=f"^{field} must be"):
             generate_sim_world(SimWorldParams(pages=100, **{field: value}), seed=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("title_len", 2.5), ("pages", 100.0), ("communities", 2.5), ("seeds", True),
+        ("relevance", True), ("locality", "0.5")])
+    def test_wrong_param_types_named_at_construction(self, field, value):
+        with pytest.raises(GenerationError, match=f"^{field} must be an? "):
+            SimWorldParams(**{"pages": 100, field: value})
+
     def test_range_ends_accepted(self):
         ends = dict(title_len=1, n_keywords=1, communities=1, mean_out_degree=0.0,
                     seed_out_degree=0.0, body_kw_mean=0.0, noise_kw_mean=0.0, hub_rate=0.0,
@@ -238,6 +245,25 @@ class TestSerialization:
         with pytest.raises(GenerationError) as err:
             load_world(path)
         assert str(err.value).startswith(f"{path} line {line}: {field} ")
+
+    @pytest.mark.parametrize("key, value", [
+        ("params.relevance", 1.5), ("params.communities", 2.5), ("params.title_len", 0),
+        ("keywords", ["topic00", "TOPIC01"]), ("keywords", ["machine learning"]),
+        ("keywords", [])],
+        ids=["relevance", "communities", "title_len", "uppercase", "two-tokens", "none"])
+    def test_header_values_checked(self, tmp_path, key, value):
+        path = tmp_path / "world.jsonl"
+        save_world(generate_sim_world(SimWorldParams(pages=150, domains=10), seed=21), path)
+        header, *pages = path.read_text().splitlines(keepends=True)
+        header = json.loads(header)
+        if key.startswith("params."):
+            header["params"][key.split(".")[1]] = value
+        else:
+            header[key] = value
+        path.write_text(json.dumps(header) + "\n" + "".join(pages))
+        with pytest.raises(GenerationError) as err:
+            load_world(path)
+        assert str(err.value).startswith(f"{path} line 1: {key} ")
 
     @pytest.mark.parametrize("line", [1, 4])
     def test_line_not_json_named(self, tmp_path, line):
