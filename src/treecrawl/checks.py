@@ -32,7 +32,10 @@ def is_kind(value, kind):
         return is_kind(value, "strings") and len(value) > 0 and all(
             tokenize(v) == [v] for v in value)
     if kind == "finite":
-        return is_kind(value, float) and math.isfinite(value)
+        try:
+            return is_kind(value, float) and math.isfinite(value)
+        except OverflowError:  # an integer too large for a float
+            return False
     # Python counts a bool as an int, so only the bool kind takes one.
     return (isinstance(value, (int, float) if kind is float else kind)
             and (kind is bool or not isinstance(value, bool)))

@@ -13,12 +13,11 @@ from .fetch import FetchFailure
 from .frontier_tree import FrontierBlock, FrontierExhaustedError, TreeFrontier
 # crawl() does not call build_state_action; it is imported only because the
 # crawl benchmark's tracer patches crawler.build_state_action.
-from .graph import (STATE_ACTION_DIM, STATE_ACTION_DIM_NO_HUB, CrawlGraph,
-                    OutlinkCandidate, build_state_action, build_state_actions,
-                    seed_state_action)
+from .graph import (STATE_ACTION_DIM, STATE_ACTION_DIM_NO_HUB, CrawlGraph, LinkActions,
+                    OutlinkCandidate, build_state_action, seed_state_action)
 from .qlearn import (AgentConfig, QNetwork, ReplayBuffer, ReplayRecord,
                      seed_replay, train_step)
-from .reward import PageText, reward as reward_of
+from .reward import MemoizedModel, PageText, reward as reward_of
 from .urls import domain_of, normalize_url
 
 POLICIES = ("tres", "tree_random", "random", "synchronous_tres")
@@ -124,11 +123,10 @@ def metrics(result: CrawlResult):
     return hr, relevant, unique
 
 
-def _outlink_entries(graph, source_url, page, model, keywords, hub):
-    candidates = [OutlinkCandidate(url=target, anchor=anchor)
-                  for target, anchor in page.outlinks if target not in graph]
-    x = build_state_actions(graph, source_url, candidates, model, keywords, hub)
-    return FrontierBlock(x, [c.url for c in candidates], source_url)
+def _outlink_entries(graph, source_url, page, links: LinkActions, hub):
+    fresh = [link for link in page.outlinks if link[0] not in graph]
+    return FrontierBlock(links.block(graph, source_url, fresh, hub),
+                         [url for url, _ in fresh], source_url)
 
 
 def crawl(config: CrawlConfig, fetcher, model, keywords) -> CrawlResult:
@@ -150,6 +148,9 @@ def crawl(config: CrawlConfig, fetcher, model, keywords) -> CrawlResult:
     hub = config.hub_features
     dim = STATE_ACTION_DIM if hub else STATE_ACTION_DIM_NO_HUB
     uses_q = config.policy in ("tres", "synchronous_tres")
+    # The reward and every a3 come from one memo of relevance probabilities.
+    model = MemoizedModel(model)
+    links = LinkActions(model, keywords)
 
     online = target = None
     replay = None
@@ -188,7 +189,7 @@ def crawl(config: CrawlConfig, fetcher, model, keywords) -> CrawlResult:
                                      title=page.title if page else "")
         seed_vectors.append(seed_state_action(candidate, model, keywords, hub_features=hub))
         if page is not None:
-            seed_blocks.append(_outlink_entries(graph, url, page, model, keywords, hub))
+            seed_blocks.append(_outlink_entries(graph, url, page, links, hub))
 
     if uses_q:
         seed_replay(replay, seed_vectors)
@@ -235,7 +236,7 @@ def crawl(config: CrawlConfig, fetcher, model, keywords) -> CrawlResult:
         except FetchFailure:
             page = None  # failed fetches consume the timestep with reward 0
         if page is not None:
-            page_text = PageText.from_page(url, page.title, page.body_text,
+            page_text = PageText.from_page(url, page.title, page.body_tokens(),
                                            max_len=config.max_text_len)
             r = reward_of(model, page_text, keywords)
         else:
@@ -244,7 +245,7 @@ def crawl(config: CrawlConfig, fetcher, model, keywords) -> CrawlResult:
 
         new_entries = None
         if page is not None:
-            new_entries = _outlink_entries(graph, url, page, model, keywords, hub)
+            new_entries = _outlink_entries(graph, url, page, links, hub)
 
         if uses_q:
             if new_entries:

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from html.parser import HTMLParser
 from urllib.parse import urljoin, urlsplit
 
+from .text import tokenize
 from .urls import domain_of, normalize_url
 
 
@@ -18,6 +19,10 @@ class Page:
     title: str
     body_text: str
     outlinks: list  # (normalized url, anchor text), deduplicated by url
+
+    def body_tokens(self):
+        """tokenize(self.body_text)."""
+        return tokenize(self.body_text)
 
 
 class FetchFailure(Exception):
@@ -212,16 +217,37 @@ class LiveFetcher:
         return extract_page(url, final_url, html)
 
 
+class SimulatedPage(Page):
+    """A fetched page of a simulated world. The body stays the stored page's
+    word ids: body_text joins them only when read, and body_tokens takes each
+    word's tokens from the word table."""
+
+    def __init__(self, url, page):
+        self.url = self.final_url = url
+        self.title = page.title
+        self.outlinks = list(page.outlinks)
+        self._page = page
+
+    @property
+    def body_text(self):
+        return self._page.body
+
+    def body_tokens(self):
+        return self._page.tokens()
+
+
 class SimFetcher:
-    """Pure lookup into a generated world."""
+    """Pure lookup into a generated or loaded world."""
 
     def __init__(self, world):
         self.world = world
 
     def fetch(self, url) -> Page:
-        url = normalize_url(url)
+        # A world keys its pages by normalized URL, so only a miss is normalized.
         page = self.world.pages.get(url)
         if page is None:
-            raise FetchFailure("missing", f"no such page {url}")
-        return Page(url=url, final_url=url, title=page.title, body_text=page.body,
-                    outlinks=list(page.outlinks))
+            url = normalize_url(url)
+            page = self.world.pages.get(url)
+            if page is None:
+                raise FetchFailure("missing", f"no such page {url}")
+        return SimulatedPage(url, page)

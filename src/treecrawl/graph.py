@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .reward import count_vector, keyword_count, keyword_in_url
+from .reward import keyword_count, keyword_in_url
 from .text import tokenize
 from .urls import domain_of
 
@@ -121,36 +121,70 @@ class CrawlGraph:
         return chain
 
 
+def action_features(url, anchor, title, model, keywords) -> tuple:
+    """(a1, a2, a3) of an outlink. a1 flags a keyword in the URL and a2 one in
+    the anchor text. a3 estimates relevance from the outlink's short text, its
+    title when known and otherwise the anchor: it is the model's probability
+    of a page holding just that text."""
+    in_url = keyword_in_url(url, keywords)
+    short = tokenize(anchor)
+    count = keyword_count(short, keywords)
+    a2 = 1.0 if count > 0 else 0.0
+    if title:
+        short = tokenize(title)
+        count = keyword_count(short, keywords)
+    return 1.0 if in_url else 0.0, a2, model.relevance(count, len(short), in_url)
+
+
+def _block(graph, parent, urls, actions, hub_features):
+    """(k, d) rows of `parent`'s state, each URL's actions and, with
+    hub_features, the hub features of the URL's domain."""
+    X = np.empty((len(actions), STATE_ACTION_DIM if hub_features else STATE_ACTION_DIM_NO_HUB))
+    X[:, :3] = 0.0 if parent is None else graph.state_features(parent)
+    if actions:
+        if hub_features:
+            hub = graph.hub_features
+            X[:, 3:] = [a + hub(url) for url, a in zip(urls, actions)]
+        else:
+            X[:, 3:] = actions
+    return X
+
+
 def build_state_actions(graph: CrawlGraph, parent, candidates, model, keywords,
                         hub_features=True) -> np.ndarray:
     """(k, d) block of (state, action[, hub]) rows, one per candidate found on
-    `parent`'s page; a parent of None gives the empty graph's zero state.
+    `parent`'s page; a parent of None gives the empty graph's zero state."""
+    actions = [action_features(c.url, c.anchor, c.title, model, keywords) for c in candidates]
+    return _block(graph, parent, [c.url for c in candidates], actions, hub_features)
 
-    a1 flags a keyword in the URL and a2 one in the anchor text. a3 estimates
-    relevance from the candidate's short text, its title when known and
-    otherwise the anchor: it is the model's probability of the keyword vector
-    of a page holding just that text.
-    """
-    rows = []
-    for candidate in candidates:
-        in_url = keyword_in_url(candidate.url, keywords)
-        anchor = tokenize(candidate.anchor)
-        count = keyword_count(anchor, keywords)
-        a2 = 1.0 if count > 0 else 0.0
-        short = anchor
-        if candidate.title:
-            short = tokenize(candidate.title)
-            count = keyword_count(short, keywords)
-        a3 = model.probability(count_vector(count, len(short), in_url, model.mu))
-        row = (1.0 if in_url else 0.0, a2, a3)
-        if hub_features:
-            row += graph.hub_features(candidate.url)
-        rows.append(row)
-    X = np.empty((len(rows), STATE_ACTION_DIM if hub_features else STATE_ACTION_DIM_NO_HUB))
-    X[:, :3] = 0.0 if parent is None else graph.state_features(parent)
-    if rows:
-        X[:, 3:] = rows
-    return X
+
+# A crawl keeps the action columns of this many distinct (url, anchor) links;
+# a link first met once the memo is full is scored each time it is met.
+LINK_ACTIONS_MAX = 1 << 16
+
+
+class LinkActions:
+    """The action columns of each (url, anchor) link, computed once per crawl:
+    they depend only on the link, the model and the keywords. Only the state
+    and hub columns change from step to step."""
+
+    def __init__(self, model, keywords):
+        self.model = model
+        self.keywords = keywords
+        self._memo = {}
+
+    def block(self, graph, parent, links, hub_features) -> np.ndarray:
+        """build_state_actions of the links as candidates with no title."""
+        memo = self._memo
+        actions = []
+        for link in links:
+            a = memo.get(link)
+            if a is None:
+                a = action_features(link[0], link[1], "", self.model, self.keywords)
+                if len(memo) < LINK_ACTIONS_MAX:
+                    memo[link] = a
+            actions.append(a)
+        return _block(graph, parent, [url for url, _ in links], actions, hub_features)
 
 
 def build_state_action(graph: CrawlGraph, parent, candidate: OutlinkCandidate,

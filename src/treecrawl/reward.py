@@ -48,9 +48,12 @@ class PageText:
             raise InvalidParameterError(f"n_p={self.n_p} smaller than stored body length {len(self.body)}")
 
     @classmethod
-    def from_page(cls, url, title_text, body_text, max_len=DEFAULT_MAX_TEXT_LEN):
+    def from_page(cls, url, title_text, body, max_len=DEFAULT_MAX_TEXT_LEN):
+        """The page of a title string and a body given as its text or as the
+        list of its tokens, as tokenize gives them."""
         title = tokenize(title_text)
-        body = tokenize(body_text)
+        if isinstance(body, str):
+            body = tokenize(body)
         return cls(url=url, title=tuple(title), body=tuple(body[:max_len]), n_p=len(body))
 
 
@@ -103,6 +106,35 @@ class RelevanceModel:
         z = float(np.dot(self.weights, kv) + self.bias)
         return _sigmoid(z)
 
+    def relevance(self, count, n_p, in_url) -> float:
+        """The probability of a page whose n_p tokens hold `count` keywords and
+        whose URL does (in_url) or does not hold one."""
+        return self.probability(count_vector(count, n_p, in_url, self.mu))
+
+
+# A memoized model keeps the probabilities of this many distinct triples. The
+# simulated web has a few dozen; a live crawl adds about one per page.
+RELEVANCE_MEMO_MAX = 1 << 16
+
+
+class MemoizedModel(RelevanceModel):
+    """A copy of the model whose relevance() computes each distinct
+    (count, n_p, in_url) triple once. A crawl makes one for its run, during
+    which the parameters do not change."""
+
+    def __init__(self, model: RelevanceModel):
+        super().__init__(model.weights, model.bias, model.mu, model.threshold)
+        self._memo = {}
+
+    def relevance(self, count, n_p, in_url) -> float:
+        key = (count, n_p, in_url)
+        p = self._memo.get(key)
+        if p is None:
+            p = super().relevance(count, n_p, in_url)
+            if len(self._memo) < RELEVANCE_MEMO_MAX:
+                self._memo[key] = p
+        return p
+
 
 def _sigmoid(z):
     if z >= 0:
@@ -112,7 +144,9 @@ def _sigmoid(z):
 
 
 def relevance_probability(model: RelevanceModel, page: PageText, keywords: KeywordSet) -> float:
-    return model.probability(keyword_vector(page, keywords, model.mu))
+    """The model's probability of the page's keyword_vector."""
+    return model.relevance(keyword_count(page.body, keywords), page.n_p,
+                           keyword_in_url(page.url, keywords))
 
 
 def reward(model: RelevanceModel, page: PageText, keywords: KeywordSet) -> int:

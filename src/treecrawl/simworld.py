@@ -12,12 +12,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from array import array
 from dataclasses import asdict, dataclass, fields
+from itertools import chain
 
 import numpy as np
 
 from .checks import check, check_fields, json_lines, require
+from .text import tokenize
+from .urls import MalformedUrlError, normalize_url
 
 
 class GenerationError(ValueError):
@@ -52,8 +56,11 @@ class SimWorldParams:
                           ("n_keywords", 1), ("communities", 1), ("mean_out_degree", 0),
                           ("seed_out_degree", 0), ("body_kw_mean", 0), ("noise_kw_mean", 0),
                           ("hub_rate", 0), ("body_len", 0)):
-            if not getattr(self, name) >= low:  # NaN fails too
+            value = getattr(self, name)
+            if not value >= low:  # NaN fails too
                 raise GenerationError(f"{name} must be at least {low}")
+            if value == math.inf:
+                raise GenerationError(f"{name} must be finite")
         if not 0.0 < self.relevance < 1.0:
             raise GenerationError("relevance must be in (0, 1)")
         for name in ("locality", "topic_domain_fraction", "title_kw_rate", "title_noise_rate",
@@ -62,9 +69,12 @@ class SimWorldParams:
                 raise GenerationError(f"{name} must be in [0, 1]")
 
 
-# Every word of every page body, by id, for all worlds alike. The table only
-# grows, so an id keeps its word for the life of the process.
+# Every word of every page body, by id, for all worlds alike, and each word's
+# tokenize(word), as a tuple, once a page holding the word has been read by
+# tokens() (None before). The tables only grow, so an id keeps its word for
+# the life of the process.
 _WORDS = []
+_WORD_TOKENS = []
 _WORD_IDS = {}
 
 
@@ -77,6 +87,7 @@ def _encode(text):
         if wid is None:
             wid = _WORD_IDS[word] = len(_WORDS)
             _WORDS.append(word)
+            _WORD_TOKENS.append(None)
         ids.append(wid)
     try:
         return array("H", ids)
@@ -111,6 +122,18 @@ class SimPage:
     def body(self):
         words = _WORDS
         return " ".join([words[i] for i in self.words])
+
+    def tokens(self):
+        """tokenize(self.body), read from the word table: a token never spans
+        the spaces that join the words."""
+        table = _WORD_TOKENS
+        try:
+            return list(chain.from_iterable(map(table.__getitem__, self.words)))
+        except TypeError:  # a word not tokenized yet: its entry is None
+            for i in self.words:
+                if table[i] is None:
+                    table[i] = tuple(tokenize(_WORDS[i]))
+            return self.tokens()
 
 
 @dataclass
@@ -326,6 +349,20 @@ _PAGE_FIELDS = {"url": str, "domain": str, "relevant": bool, "title": str,
                 "body": str, "outlinks": "links"}
 
 
+def _check_page_url(url, pages, where):
+    """A page is fetched by its normalized URL, so a world file holds only
+    those, and each once."""
+    try:
+        normal = normalize_url(url)
+    except MalformedUrlError as exc:
+        raise GenerationError(f"{where}url {exc}") from None
+    if normal != url:
+        raise GenerationError(f"{where}url {url!r:.80} is not normalized; "
+                              f"normalize_url gives {normal!r:.80}")
+    if url in pages:
+        raise GenerationError(f"{where}url {url!r:.80} repeats an earlier page's URL")
+
+
 def load_world(path) -> SimWorld:
     records = json_lines(path, GenerationError)
     lineno, header = next(records, (1, None))
@@ -355,6 +392,7 @@ def load_world(path) -> SimWorld:
         check(rec, dict, where + "a page", GenerationError)
         page = SimPage(**{name: require(rec, name, kind, where, GenerationError)
                           for name, kind in _PAGE_FIELDS.items()})
+        _check_page_url(page.url, pages, where)
         page.outlinks = [links.setdefault(link, link) for link in map(tuple, page.outlinks)]
         pages[page.url] = page
     return SimWorld(params=params, seed=seed, keywords=keywords, seed_urls=seed_urls,

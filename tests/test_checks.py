@@ -16,7 +16,7 @@ from treecrawl.text import load_stopwords
     ("strings", [[], ["a", ""]], [("a",), ["a", 1], "ab", None]),
     ("links", [[], [["http://a/", "x"]]], [[["http://a/"]], [("u", "a")], [["u", 1]]]),
     ("tokens", [["topic00", "x"]], [[], ["TOPIC00"], ["a b"], ["c++"], [""], "ab"]),
-    ("finite", [0, -2.5, 1e300], [float("nan"), float("inf"), True, "1"]),
+    ("finite", [0, -2.5, 1e300, 10**300], [float("nan"), float("inf"), True, "1", 10**400]),
 ])
 def test_is_kind(kind, good, bad):
     assert all(is_kind(value, kind) for value in good)

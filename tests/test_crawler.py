@@ -3,11 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from treecrawl import crawler
+from treecrawl import crawler, graph
 from treecrawl.crawler import (ConfigError, CrawlConfig, CrawlResult, crawl,
                                enforce_max_domain, metrics)
 from treecrawl.fetch import SimFetcher
-from treecrawl.graph import CrawlGraph
+from treecrawl.graph import CrawlGraph, OutlinkCandidate, build_state_actions
 from treecrawl.qlearn import AgentConfig
 from treecrawl.embeddings import KeywordSet
 from treecrawl.report import load_log, write_run
@@ -279,3 +279,37 @@ class TestHubFeatureToggle:
             result = crawl(cfg, SimFetcher(chain_world), oracle_model, kws)
             for record in result.log_records:
                 assert len(record["features"]) == dim
+
+
+class TestOutlinkBlocks:
+    """A crawl scores each (url, anchor) link once; its blocks must still equal
+    a from-scratch build_state_actions bit for bit."""
+
+    @pytest.mark.parametrize("policy", ["tres", "random"])
+    @pytest.mark.parametrize("memo_max", [None, 40], ids=["memo", "full-memo"])
+    def test_blocks_equal_scratch_build(self, acceptance_world, monkeypatch, policy,
+                                        memo_max):
+        world, keywords, model = acceptance_world
+        if memo_max is not None:
+            monkeypatch.setattr(graph, "LINK_ACTIONS_MAX", memo_max)
+        outlink_entries = crawler._outlink_entries
+        seen, memo_sizes = set(), []
+
+        def checked(g, source_url, page, links, hub):
+            block = outlink_entries(g, source_url, page, links, hub)
+            fresh = [OutlinkCandidate(url=url, anchor=anchor)
+                     for url, anchor in page.outlinks if url not in g]
+            scratch = build_state_actions(g, source_url, fresh, model, keywords, hub)
+            assert block.urls == [c.url for c in fresh] and block.parent == source_url
+            assert block.x.shape == scratch.shape
+            assert block.x.tobytes() == scratch.tobytes()
+            seen.update((c.url, c.anchor) for c in fresh)
+            memo_sizes.append(len(links._memo))
+            return block
+
+        monkeypatch.setattr(crawler, "_outlink_entries", checked)
+        config = CrawlConfig(seeds=world.seed_urls, budget=300, policy=policy)
+        crawl(config, SimFetcher(world), model, keywords)
+        assert len(memo_sizes) == 301  # the seed's page, then every step's
+        if memo_max is not None:  # links met after the memo filled were scored anew
+            assert memo_sizes[-1] == memo_max < len(seen)

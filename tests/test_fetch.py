@@ -9,7 +9,10 @@ import pytest
 import treecrawl
 from treecrawl.fetch import (MAX_BODY_BYTES, FetchFailure, LiveFetcher, SimFetcher,
                              extract_page, urllib_transport)
-from treecrawl.simworld import SimWorldParams, generate_sim_world
+from treecrawl.simworld import SimWorldParams, generate_sim_world, load_world, save_world
+from treecrawl.text import tokenize
+
+from conftest import make_world
 
 HTML = """
 <html><head><title>Big Cup Final</title>
@@ -289,3 +292,30 @@ class TestSimFetcher:
         with pytest.raises(FetchFailure) as err:
             SimFetcher(world).fetch("http://t000.sim/does-not-exist")
         assert err.value.category == "missing"
+
+    def test_other_spelling_fetches_the_normalized_page(self):
+        world = generate_sim_world(SimWorldParams(pages=50, domains=5), seed=1)
+        url = world.order[2]
+        host, path = url.removeprefix("http://").split("/", 1)
+        page = SimFetcher(world).fetch(f"HTTP://{host.upper()}:80/{path}/#top")
+        assert page.url == page.final_url == url
+        assert page.body_text == world.pages[url].body
+        with pytest.raises(FetchFailure) as err:
+            SimFetcher(world).fetch(f"HTTP://{host.upper()}/{path}x/")
+        assert err.value.category == "missing"
+
+    def test_body_tokens_equal_tokenized_body(self, tmp_path):
+        generated = generate_sim_world(SimWorldParams(pages=100, domains=8), seed=3)
+        odd = make_world([("http://x.sim/a", True, "t", "Hello, a-b \u0130 \u212a  end", []),
+                          ("http://x.sim/b", False, "t", "", []),
+                          ("http://x.sim/c", False, "t", " Hello,  a-b ", [])])
+        path = tmp_path / "world.jsonl"
+        save_world(odd, path)
+        loaded = load_world(path)
+        for world in (generated, loaded):
+            fetcher = SimFetcher(world)
+            for url, stored in world.pages.items():
+                page = fetcher.fetch(url)
+                assert page.body_tokens() == tokenize(stored.body) == tokenize(page.body_text)
+        assert SimFetcher(loaded).fetch("http://x.sim/a").body_tokens() == [
+            "hello", "a", "b", "i", "k", "end"]

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 
@@ -5,11 +6,16 @@ import numpy as np
 import pytest
 
 from treecrawl.embeddings import KeywordSet
-from treecrawl.reward import (InvalidParameterError, PageText, RelevanceModel,
+from treecrawl.reward import (InvalidParameterError, MemoizedModel, PageText, RelevanceModel,
                               TrainingDegenerateWarning, keyword_count,
                               keyword_vector, load_corpus_jsonl, load_model,
                               macro_f1, relevance_probability, reward,
                               save_model, train)
+from treecrawl.text import tokenize
+
+
+# The module, not the reward function that the package re-exports by its name.
+reward_module = importlib.import_module("treecrawl.reward")
 
 
 @pytest.fixture
@@ -78,6 +84,11 @@ class TestPageText:
         page = PageText.from_page("u", "title words", "a b c d e", max_len=3)
         assert page.body == ("a", "b", "c")
         assert page.n_p == 5
+
+    def test_body_given_as_tokens(self):
+        text = "Cup-final: A b c"
+        assert (PageText.from_page("u", "T", tokenize(text), max_len=3)
+                == PageText.from_page("u", "T", text, max_len=3))
 
 
 def separable_pages(n_rel, n_irr, seed=0):
@@ -178,6 +189,44 @@ class TestScoring:
             assert reward(model, page, kws) == (1 if p >= model.threshold else 0)
 
 
+class TestMemoizedModel:
+    TRIPLES = [(c, n, u) for c in range(4) for n in (0, 5, 80) for u in (False, True)]
+
+    def model(self):
+        return RelevanceModel(weights=np.array([0.7, -2.0, 1.5]), bias=-0.3, mu=3.0,
+                              threshold=0.4)
+
+    def test_each_triple_computed_once(self, monkeypatch):
+        model = self.model()
+        expected = [model.relevance(*t) for t in self.TRIPLES]
+        memo = MemoizedModel(model)
+        calls = []
+        probability = RelevanceModel.probability
+        monkeypatch.setattr(RelevanceModel, "probability",
+                            lambda self, kv: calls.append(1) or probability(self, kv))
+        for _ in range(3):
+            assert [memo.relevance(*t) for t in self.TRIPLES] == expected
+        assert len(calls) == len(self.TRIPLES)
+
+    def test_full_memo_still_answers(self, monkeypatch):
+        monkeypatch.setattr(reward_module, "RELEVANCE_MEMO_MAX", 5)
+        model = self.model()
+        memo = MemoizedModel(model)
+        for _ in range(2):
+            assert ([memo.relevance(*t) for t in self.TRIPLES]
+                    == [model.relevance(*t) for t in self.TRIPLES])
+        assert len(memo._memo) == 5
+
+    def test_reward_served_from_memo(self, kws):
+        model = self.model()
+        memo = MemoizedModel(model)
+        for body in ("", "pad cup", "football cup league pad", "cup " * 30):
+            page = PageText.from_page("http://a.com/cup", "", body)
+            assert relevance_probability(memo, page, kws) == relevance_probability(
+                model, page, kws) == model.probability(keyword_vector(page, kws, model.mu))
+            assert reward(memo, page, kws) == reward(model, page, kws)
+
+
 class TestPersistence:
     def test_model_round_trip(self, tmp_path, kws):
         rel, irr = separable_pages(10, 10)
@@ -191,6 +240,17 @@ class TestPersistence:
         assert loaded.threshold == model.threshold
         record = json.loads(path.read_text())
         assert set(record) == {"weights", "bias", "mu", "threshold"}
+
+    @pytest.mark.parametrize("field, record", [
+        ("weights", {"weights": [1.0, 2.0, 10 ** 400]}),
+        ("bias", {"bias": 10 ** 400})])
+    def test_huge_integer_named(self, tmp_path, field, record):
+        path = tmp_path / "model.json"
+        base = {"weights": [1.0, 2.0, 3.0], "bias": 0.5, "mu": 2.0, "threshold": 0.5}
+        path.write_text(json.dumps({**base, **record}))
+        with pytest.raises(InvalidParameterError) as err:
+            load_model(path)
+        assert str(err.value).startswith(f"{path}: model field {field}")
 
     def test_corpus_jsonl(self, tmp_path):
         path = tmp_path / "corpus.jsonl"

@@ -146,6 +146,12 @@ class TestGeneration:
         with pytest.raises(GenerationError, match=f"^{field} must be an? "):
             SimWorldParams(**{"pages": 100, field: value})
 
+    @pytest.mark.parametrize("field", ["mean_out_degree", "seed_out_degree", "body_kw_mean",
+                                       "noise_kw_mean", "hub_rate"])
+    def test_infinite_means_named(self, field):
+        with pytest.raises(GenerationError, match=f"^{field} must be finite"):
+            SimWorldParams(pages=100, domains=10, **{field: float("inf")})
+
     def test_range_ends_accepted(self):
         ends = dict(title_len=1, n_keywords=1, communities=1, mean_out_degree=0.0,
                     seed_out_degree=0.0, body_kw_mean=0.0, noise_kw_mean=0.0, hub_rate=0.0,
@@ -264,6 +270,22 @@ class TestSerialization:
         with pytest.raises(GenerationError) as err:
             load_world(path)
         assert str(err.value).startswith(f"{path} line 1: {key} ")
+
+    @pytest.mark.parametrize("url, message", [
+        ("HTTP://t000.sim/p00003/", "is not normalized"),
+        ("http://T000.sim/p00003", "is not normalized"),
+        ("not a url", "url missing scheme or host"),
+        (None, "repeats an earlier page's URL")], ids=["case", "host", "malformed", "repeat"])
+    def test_page_urls_checked(self, tmp_path, url, message):
+        path = tmp_path / "world.jsonl"
+        save_world(generate_sim_world(SimWorldParams(pages=150, domains=10), seed=21), path)
+        header, *pages = [json.loads(text) for text in path.read_text().splitlines()]
+        pages[3]["url"] = url or pages[1]["url"]
+        path.write_text("".join(json.dumps(rec) + "\n" for rec in [header] + pages))
+        with pytest.raises(GenerationError) as err:
+            load_world(path)
+        assert str(err.value).startswith(f"{path} line 5: url ")
+        assert message in str(err.value)
 
     @pytest.mark.parametrize("line", [1, 4])
     def test_line_not_json_named(self, tmp_path, line):
