@@ -236,7 +236,8 @@ def crawl(config: CrawlConfig, fetcher, model, keywords) -> CrawlResult:
         except FetchFailure:
             page = None  # failed fetches consume the timestep with reward 0
         if page is not None:
-            page_text = PageText.from_page(url, page.title, page.body_tokens(),
+            # No reward feature reads the title, so it is not tokenized.
+            page_text = PageText.from_page(url, "", page.body_tokens(),
                                            max_len=config.max_text_len)
             r = reward_of(model, page_text, keywords)
         else:
@@ -265,7 +266,7 @@ def crawl(config: CrawlConfig, fetcher, model, keywords) -> CrawlResult:
             "parent": entry.parent,
             "reward": r,
             "domain": domain_of(url),
-            "features": [float(v) for v in entry.x],
+            "features": entry.x.tolist(),
             "q_value_estimate": info.q_value,
         })
         steps.append(StepStats(timestep=t, frontier_size=info.frontier_size,

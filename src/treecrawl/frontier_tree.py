@@ -296,7 +296,7 @@ class TreeFrontier:
 
     def _route(self, x):
         node = self.root
-        while not node.is_leaf:
+        while node.feature is not None:  # not the is_leaf property: a hot loop
             node = node.left if x[node.feature] < node.threshold else node.right
         return node
 

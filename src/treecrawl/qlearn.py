@@ -216,8 +216,14 @@ class ReplayBuffer:
     """FIFO ring of replay records with uniform sampling.
 
     Slot i keeps its x in row i of one matrix, its reward in a vector and its
-    follow-up rows as item i of a list of (k, d) arrays. Once the ring is
-    full, each add overwrites the oldest slot.
+    distinct follow-up rows as item i of a list of (k, d) arrays. Once the
+    ring is full, each add overwrites the oldest slot.
+
+    A follow-up row that repeats an earlier row of its record byte for byte
+    is stored once: it can neither raise the record's maximum nor come
+    before its first copy, so the double-Q target picks a row with the same
+    features. A page's outlinks share its state columns, so about half the
+    rows of a crawl's records are such repeats.
     """
 
     def __init__(self, capacity):
@@ -243,6 +249,7 @@ class ReplayBuffer:
                 f"got {x.shape} and {nxt.shape}")
         if not self._next:
             self._x = np.empty((0, d))
+        nxt = _distinct_rows(nxt)
         slot = len(self._next)
         if slot < self.capacity:
             self._next.append(nxt)
@@ -275,6 +282,21 @@ class ReplayBuffer:
         if not self._next:
             raise ValueError("cannot sample from an empty buffer")
         return self.gather(rng.integers(0, len(self._next), size=k))
+
+
+def _distinct_rows(rows):
+    """The (k, d) float64 rows without those whose bytes repeat an earlier
+    row, in order of first occurrence; -0.0 and 0.0, or two NaN payloads,
+    stay apart."""
+    k, d = rows.shape
+    if k < 2 or d == 0:  # nothing to drop, or no bytes to view
+        return rows
+    # Each row as one bytes object: a void item of its 8 * d bytes.
+    as_bytes = np.ascontiguousarray(rows).view(np.dtype((np.void, 8 * d)))[:, 0]
+    keys = dict.fromkeys(as_bytes.tolist())
+    if len(keys) == k:
+        return rows
+    return np.frombuffer(b"".join(keys), dtype=np.float64).reshape(len(keys), d)
 
 
 def _grow(arr, rows):

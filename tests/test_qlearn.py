@@ -3,7 +3,8 @@ import pytest
 from scipy import stats
 
 from treecrawl.qlearn import (AgentConfig, DimensionMismatchError, QNetwork,
-                              ReplayBuffer, ReplayRecord, TrainingDivergenceError,
+                              ReplayBatch, ReplayBuffer, ReplayRecord,
+                              TrainingDivergenceError,
                               batch_targets, ddqn_target, seed_replay,
                               segment_argmax, train_step)
 
@@ -467,6 +468,92 @@ class TestReplay:
                 assert got.reward == want.reward
                 assert got.next_vectors.shape == want.next_vectors.shape
                 assert got.next_vectors.tobytes() == want.next_vectors.tobytes()
+
+    def test_repeated_rows_stored_once_in_first_order(self):
+        rng = np.random.default_rng(21)
+        pool = rng.normal(size=(4, 3))
+        order = [2, 0, 2, 3, 0, 0, 2, 1, 3]
+        buf = ReplayBuffer(capacity=4)
+        buf.add(ReplayRecord(x=np.zeros(3), reward=1.0, next_vectors=pool[order]))
+        batch = buf.gather([0])
+        assert batch.sizes.tolist() == [4]
+        assert batch.next_vectors.tobytes() == pool[[2, 0, 3, 1]].tobytes()
+
+    def test_all_duplicate_record_keeps_one_row(self):
+        row = np.arange(5.0)
+        buf = ReplayBuffer(capacity=4)
+        buf.add(ReplayRecord(x=np.zeros(5), reward=0.0, next_vectors=np.tile(row, (7, 1))))
+        buf.add(ReplayRecord(x=np.zeros(5), reward=0.0, next_vectors=np.empty((0, 5))))
+        buf.add(ReplayRecord(x=np.zeros(5), reward=0.0, next_vectors=row[None, :]))
+        batch = buf.gather([0, 1, 2])
+        assert batch.sizes.tolist() == [1, 0, 1]
+        assert batch.next_vectors.tobytes() == np.stack([row, row]).tobytes()
+        empty = records_of(buf.gather([1]))[0].next_vectors
+        assert empty.shape == (0, 5)
+
+    def test_rows_equal_only_byte_for_byte(self):
+        # -0.0 == 0.0 and two NaNs compare alike as tuples of floats, but a
+        # row is a repeat only when its bytes are.
+        nan = np.float64(np.nan)
+        other_nan = np.array([nan]).view(np.uint64)
+        other_nan ^= 1
+        other_nan = other_nan.view(np.float64)[0]
+        assert np.isnan(other_nan) and other_nan.tobytes() != nan.tobytes()
+        rows = np.array([[0.0, 1.0], [-0.0, 1.0], [nan, 1.0], [other_nan, 1.0],
+                         [0.0, 1.0], [nan, 1.0], [1.0, -0.0], [1.0, 0.0]])
+        buf = ReplayBuffer(capacity=2)
+        buf.add(ReplayRecord(x=np.zeros(2), reward=0.0, next_vectors=rows))
+        batch = buf.gather([0])
+        assert batch.sizes.tolist() == [6]
+        assert batch.next_vectors.tobytes() == rows[[0, 1, 2, 3, 6, 7]].tobytes()
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_targets_equal_those_of_the_distinct_rows(self, activation):
+        rng = np.random.default_rng(22)
+        online = QNetwork(6, hidden=(8, 4), activation=activation, rng=rng)
+        target = QNetwork(6, hidden=(8, 4), activation=activation, rng=rng)
+        records, distinct = [], []
+        for _ in range(40):
+            pool = rng.normal(size=(int(rng.integers(1, 5)), 6))
+            picks = rng.integers(0, len(pool), size=int(rng.integers(0, 12)))
+            firsts = list(dict.fromkeys(picks.tolist()))
+            x, r = rng.normal(size=6), float(rng.integers(0, 2))
+            records.append(ReplayRecord(x=x, reward=r, next_vectors=pool[picks]))
+            distinct.append(ReplayRecord(x=x, reward=r, next_vectors=pool[firsts]))
+        for raw, kept in zip(records, distinct):
+            assert ddqn_target(raw, online, target, 0.9) == ddqn_target(kept, online, target, 0.9)
+        # The batch of raw rows as it would be gathered without deduplication.
+        raw_batch = ReplayBatch(x=np.stack([r.x for r in records]),
+                                rewards=np.array([r.reward for r in records]),
+                                next_vectors=np.concatenate([r.next_vectors for r in records]),
+                                sizes=np.array([len(r.next_vectors) for r in records]))
+        stored = batch_of(records)
+        assert stored.next_vectors.tobytes() == batch_of(distinct).next_vectors.tobytes()
+        assert stored.sizes.sum() < raw_batch.sizes.sum()
+        assert np.array_equal(batch_targets(stored, online, target, 0.9),
+                              batch_targets(raw_batch, online, target, 0.9))
+
+    def test_fifo_wraps_with_duplicated_rows(self):
+        # Through many wraps of a 3-slot ring, every slot gathers the distinct
+        # rows, in first-occurrence order, of the record a list would hold.
+        rng = np.random.default_rng(23)
+        pool = rng.normal(size=(5, 4))
+        buf = ReplayBuffer(capacity=3)
+        ref, cursor = [], 0
+        for step in range(40):
+            picks = rng.integers(0, 5, size=int(rng.choice([0, 1, 3, 8, 30])))
+            buf.add(ReplayRecord(x=rng.normal(size=4), reward=float(step),
+                                 next_vectors=pool[picks]))
+            want = pool[list(dict.fromkeys(picks.tolist()))].reshape(-1, 4)
+            if len(ref) < 3:
+                ref.append((float(step), want))
+            else:
+                ref[cursor] = (float(step), want)
+                cursor = (cursor + 1) % 3
+            batch = buf.gather(np.arange(len(ref)))
+            assert batch.rewards.tolist() == [r for r, _ in ref]
+            assert batch.sizes.tolist() == [len(w) for _, w in ref]
+            assert batch.next_vectors.tobytes() == b"".join(w.tobytes() for _, w in ref)
 
     def test_add_keeps_its_own_copy(self):
         # In a crawl, x is a row view of one page's feature block and the

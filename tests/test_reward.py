@@ -188,6 +188,19 @@ class TestScoring:
             p = relevance_probability(model, page, kws)
             assert reward(model, page, kws) == (1 if p >= model.threshold else 0)
 
+    def test_reward_ignores_the_title(self, kws):
+        # crawl() hands PageText.from_page an empty title rather than tokenize
+        # each fetched page's title, so no reward may depend on it.
+        rng = np.random.default_rng(19)
+        model = RelevanceModel(weights=rng.normal(size=3), bias=-0.2, mu=2.0,
+                               threshold=0.5)
+        titles = ("", "football cup league", "cup " * 40, "Unrelated Title, here")
+        for body in ("", "pad", "football pad cup", "league " * 12):
+            for url in ("http://a.com/", "http://a.com/football"):
+                pages = [PageText.from_page(url, title, body) for title in titles]
+                assert len({relevance_probability(model, page, kws) for page in pages}) == 1
+                assert len({reward(model, page, kws) for page in pages}) == 1
+
 
 class TestMemoizedModel:
     TRIPLES = [(c, n, u) for c in range(4) for n in (0, 5, 80) for u in (False, True)]
