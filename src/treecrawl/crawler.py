@@ -236,8 +236,7 @@ def crawl(config: CrawlConfig, fetcher, model, keywords) -> CrawlResult:
         except FetchFailure:
             page = None  # failed fetches consume the timestep with reward 0
         if page is not None:
-            # No reward feature reads the title, so it is not tokenized.
-            page_text = PageText.from_page(url, "", page.body_tokens(),
+            page_text = PageText.from_page(url, page.title, page.body_tokens(),
                                            max_len=config.max_text_len)
             r = reward_of(model, page_text, keywords)
         else:

@@ -33,28 +33,27 @@ class PageText:
     """Tokenized page with the body truncated to a maximum length.
 
     n_p is the body token count before truncation, so the raw-density feature
-    stays normalized by the true page length.
+    stays normalized by the true page length. No reward feature reads a
+    page's title, so none is kept.
     """
 
     url: str
-    title: tuple
     body: tuple
     n_p: int
 
     def __post_init__(self):
-        object.__setattr__(self, "title", tuple(self.title))
         object.__setattr__(self, "body", tuple(self.body))
         if self.n_p < len(self.body):
             raise InvalidParameterError(f"n_p={self.n_p} smaller than stored body length {len(self.body)}")
 
     @classmethod
     def from_page(cls, url, title_text, body, max_len=DEFAULT_MAX_TEXT_LEN):
-        """The page of a title string and a body given as its text or as the
-        list of its tokens, as tokenize gives them."""
-        title = tokenize(title_text)
+        """The page of a body given as its text or as the list of its tokens,
+        as tokenize gives them. title_text is taken, as a page record holds
+        it, and dropped unread."""
         if isinstance(body, str):
             body = tokenize(body)
-        return cls(url=url, title=tuple(title), body=tuple(body[:max_len]), n_p=len(body))
+        return cls(url=url, body=tuple(body[:max_len]), n_p=len(body))
 
 
 def keyword_count(tokens, keywords: KeywordSet) -> int:

@@ -190,13 +190,30 @@ class TestGradients:
         assert max_relative_error(grads, fd) < 1e-4
 
 
+TIE_COLUMN = 7
+
+
 def tied_records(rng, dim, count):
-    """Replay records whose follow-ups repeat rows of a small pool, so that
-    argmax ties occur as they do between duplicate links in a crawl."""
-    pool = rng.normal(size=(6, dim))
-    return [ReplayRecord(x=rng.normal(size=dim), reward=float(rng.integers(0, 2)),
-                         next_vectors=pool[rng.integers(0, 6, size=int(rng.integers(0, 6)))])
-            for _ in range(count)]
+    """Replay records whose x is 0 in column TIE_COLUMN and whose follow-ups
+    repeat rows of a pool of three pairs that differ only in that column. A
+    network whose W1 row TIE_COLUMN is zero keeps it so through training on
+    them, and values both rows of a pair alike: argmax ties between distinct
+    rows, which a ReplayBuffer keeps apart."""
+    pool = np.repeat(rng.normal(size=(3, dim)), 2, axis=0)
+    pool[:, TIE_COLUMN] = rng.normal(size=6)
+    records = []
+    for _ in range(count):
+        x = rng.normal(size=dim)
+        x[TIE_COLUMN] = 0.0
+        records.append(ReplayRecord(x=x, reward=float(rng.integers(0, 2)),
+                                    next_vectors=pool[rng.integers(0, 6, size=int(rng.integers(0, 6)))]))
+    return records
+
+
+def max_ties(values, sizes):
+    """How many segments hold their maximum more than once."""
+    segments = np.split(values, np.cumsum(sizes)[:-1])
+    return sum(int((seg == seg.max()).sum() > 1) for seg in segments if seg.size)
 
 
 BATCH_SIZES = [1, 3, 5, 32, 33, 200]
@@ -228,15 +245,19 @@ class TestMatchesReference:
         rng = np.random.default_rng(100 + n)
         online = QNetwork(8, activation=activation, rng=rng)
         target = online.clone()
+        online.W1[TIE_COLUMN] = 0.0  # ties for the online net, not the target
         ref_online, ref_target = ReferenceNet(online), ReferenceNet(target)
         buf = ReplayBuffer(capacity=64)
         for record in tied_records(rng, 8, 64):
             buf.add(record)
         cfg = AgentConfig(learning_rate=0.01)
+        tied = 0
         for _ in range(300):
             batch = buf.sample(rng, n)
+            tied += max_ties(online.forward(batch.next_vectors), batch.sizes)
             loss = train_step(online, target, batch, cfg)
             assert loss == reference_train_step(ref_online, ref_target, batch, cfg)
+        assert tied > 0 and not online.W1[TIE_COLUMN].any()
         for name in online.PARAM_NAMES:
             assert np.array_equal(getattr(online, name), ref_online.p[name]), name
             assert np.array_equal(getattr(target, name), ref_target.p[name]), name

@@ -41,12 +41,12 @@ class TestKeywordCount:
 
 class TestKeywordVector:
     def test_no_keywords(self, kws):
-        page = PageText(url="http://x.com/a", title=(), body=("red", "blue"), n_p=2)
+        page = PageText(url="http://x.com/a", body=("red", "blue"), n_p=2)
         assert np.array_equal(keyword_vector(page, kws, mu=2.0), [0.0, 0.0, 0.0])
 
     def test_clamped_density(self, kws):
         body = tuple(["football"] * 12 + ["pad"] * 88)
-        page = PageText(url="http://x.com/a", title=(), body=body, n_p=100)
+        page = PageText(url="http://x.com/a", body=body, n_p=100)
         kv = keyword_vector(page, kws, mu=6.0)
         assert kv[0] == 1.0  # 12/6 clamps to 1
         assert kv[1] == pytest.approx(0.12)
@@ -54,16 +54,16 @@ class TestKeywordVector:
 
     def test_url_flag(self, kws):
         ks = KeywordSet(frozenset({"food"}))
-        page = PageText(url="http://example.com/food-recipes", title=(), body=(), n_p=0)
+        page = PageText(url="http://example.com/food-recipes", body=(), n_p=0)
         assert keyword_vector(page, ks, mu=1.0)[2] == 1.0
 
     def test_invalid_mu(self, kws):
-        page = PageText(url="u", title=(), body=(), n_p=0)
+        page = PageText(url="u", body=(), n_p=0)
         with pytest.raises(InvalidParameterError):
             keyword_vector(page, kws, mu=0.0)
 
     def test_zero_length_body_gives_zero_density(self, kws):
-        page = PageText(url="http://x.com", title=(), body=(), n_p=0)
+        page = PageText(url="http://x.com", body=(), n_p=0)
         assert keyword_vector(page, kws, mu=1.0)[1] == 0.0
 
     def test_ranges_fuzz(self, kws):
@@ -189,8 +189,8 @@ class TestScoring:
             assert reward(model, page, kws) == (1 if p >= model.threshold else 0)
 
     def test_reward_ignores_the_title(self, kws):
-        # crawl() hands PageText.from_page an empty title rather than tokenize
-        # each fetched page's title, so no reward may depend on it.
+        # No reward feature reads a title, so PageText.from_page drops it
+        # unread rather than tokenize every fetched page's title.
         rng = np.random.default_rng(19)
         model = RelevanceModel(weights=rng.normal(size=3), bias=-0.2, mu=2.0,
                                threshold=0.5)
@@ -198,6 +198,7 @@ class TestScoring:
         for body in ("", "pad", "football pad cup", "league " * 12):
             for url in ("http://a.com/", "http://a.com/football"):
                 pages = [PageText.from_page(url, title, body) for title in titles]
+                assert all(page == pages[0] for page in pages)
                 assert len({relevance_probability(model, page, kws) for page in pages}) == 1
                 assert len({reward(model, page, kws) for page in pages}) == 1
 
